@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 from .coding import LinearCode, build_partition_scheme, optimal_partition
 from .errors import CapExceeded
 from .instance import (
+    DEFAULT_ASSIGNMENT_CAP,
+    DEFAULT_USER_CAP,
     Assignment,
     Instance,
     SizeProfile,
@@ -38,7 +40,6 @@ from .instance import (
 from .verifier import induced_assignment, is_valid
 
 DEFAULT_UNICAST_CAP = 40
-DEFAULT_ASSIGNMENT_CAP = 10**7
 DEFAULT_EXACT_CHAIN_LIMIT = 12
 
 
@@ -409,7 +410,7 @@ def full_report(
     t: int,
     profile: SizeProfile | Iterable[int],
     q: int | None = None,
-    user_cap: int = 10**6,
+    user_cap: int = DEFAULT_USER_CAP,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     unicast_cap: int = DEFAULT_UNICAST_CAP,
 ) -> BoundReport:

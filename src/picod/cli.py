@@ -36,6 +36,7 @@ from .instance import (
     instance_to_json,
 )
 from .oracles import (
+    DEFAULT_COLLECTION_CAP,
     block_cover_impossibility,
     random_averaging_suite,
     sweep_intersection_families,
@@ -322,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=_positive_arg, required=True)
     p.add_argument("--max-block-size", type=_positive_arg, required=True)
     p.add_argument(
-        "--cap-collections", type=_positive_arg, default=10**6,
+        "--cap-collections", type=_positive_arg, default=DEFAULT_COLLECTION_CAP,
         help="largest collection space to enumerate",
     )
     p.set_defaults(func=cmd_block_cover)

@@ -197,12 +197,34 @@ def instance_to_json(inst: Instance, pretty: bool = False) -> str:
     return json.dumps(obj, indent=2 if pretty else None)
 
 
+def _json_field(obj: object, key: str, nested: bool = False):
+    """obj[key] checked to be an integer, or with `nested` a list of integer
+    lists; any other shape raises a ValueError that names the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    val = obj[key]
+    if nested:
+        want = "a list of integer lists"
+        ok = isinstance(val, list) and all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in val
+        )
+    else:
+        want, ok = "an integer", type(val) is int
+    if not ok:
+        raise ValueError(f"field {key!r} must be {want}")
+    return val
+
+
 def instance_from_json(text: str) -> Instance:
     obj = json.loads(text)
+    users = _json_field(obj, "users", nested=True)
+    for i, a in enumerate(users):
+        if len(set(a)) != len(a):
+            raise ValueError(f"field 'users': user {i + 1} lists a message twice")
     inst = Instance(
-        int(obj["m"]),
-        int(obj["t"]),
-        tuple(frozenset(int(x) - 1 for x in a) for a in obj["users"]),
+        _json_field(obj, "m"),
+        _json_field(obj, "t"),
+        tuple(frozenset(x - 1 for x in a) for a in users),
     )
     bad = validate_instance(inst)
     if bad is not None:

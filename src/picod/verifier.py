@@ -1,8 +1,9 @@
 """Decide whether a broadcast code satisfies every user of an instance.
 
 A user that knows the messages in K can decode message d from code X when
-the unit vector e_d lies in span(rows of X, {e_a : a in K}).  Decoding is
-iterated to a fixpoint, each newly decoded message may unlock further ones.
+the unit vector e_d lies in span(rows of X, {e_a : a in K}).  One elimination
+finds every such d at once: a decoded e_d already lies in that span, so
+adding it as side information leaves the span, and what it decodes, unchanged.
 """
 
 from __future__ import annotations
@@ -18,32 +19,20 @@ from .instance import Assignment, Instance
 
 
 def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]:
-    """All messages outside `known` that become decodable, iterated to a fixpoint.
+    """All messages outside `known` that the user can decode.
 
     Projecting the rows onto the unknown columns turns the span test into a
-    membership test in the projected row space, where a message is decodable
-    exactly when the echelon form contains its unit vector as a row.
+    membership test in the projected row space, where a unit vector lies
+    exactly when it is a row of the reduced echelon form.  The result is
+    closed: a decoded e_d is already in span(X, e_K), so knowing d as well
+    decodes nothing new, and one elimination suffices.
     """
     if any(x < 0 or x >= code.m for x in known):
         raise ValueError("known message outside column range")
-    have = set(known)
-    decoded: set[int] = set()
-    while True:
-        unknown = [c for c in range(code.m) if c not in have]
-        if not unknown:
-            break
-        projected = [[row[c] for c in unknown] for row in code.rows]
-        rref, _ = gf_rref(projected, code.q) if projected else ((), ())
-        fresh = {
-            unknown[next(i for i, x in enumerate(r) if x)]
-            for r in rref
-            if sum(1 for x in r if x) == 1
-        }
-        if not fresh:
-            break
-        decoded |= fresh
-        have |= fresh
-    return frozenset(decoded)
+    unknown = [c for c in range(code.m) if c not in known]
+    projected = [[row[c] for c in unknown] for row in code.rows]
+    rref, pivots = gf_rref(projected, code.q)
+    return frozenset(unknown[p] for r, p in zip(rref, pivots) if not any(r[p + 1 :]))
 
 
 @dataclass(frozen=True)

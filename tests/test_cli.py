@@ -184,6 +184,44 @@ class TestVerify:
         assert json.loads(out)["valid"] is True
 
 
+class TestMalformedJson:
+    """A badly shaped input file exits 2 with one error line naming the field."""
+
+    def _topology(self, capsys, tmp_path, text):
+        target = tmp_path / "inst.json"
+        target.write_text(text)
+        return run_cli(capsys, "hypergraph", "topology", "--instance", str(target))
+
+    def _assert_one_line_error(self, rc, out, err, field):
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(field) in err
+
+    def test_users_not_a_list(self, capsys, tmp_path):
+        rc, out, err = self._topology(capsys, tmp_path, '{"m": 3, "t": 1, "users": 5}')
+        self._assert_one_line_error(rc, out, err, "users")
+
+    def test_users_missing(self, capsys, tmp_path):
+        rc, out, err = self._topology(capsys, tmp_path, '{"m": 3, "t": 1}')
+        self._assert_one_line_error(rc, out, err, "users")
+
+    def test_duplicate_message_in_user(self, capsys, tmp_path):
+        rc, out, err = self._topology(
+            capsys, tmp_path, '{"m": 3, "t": 1, "users": [[1, 1, 2]]}'
+        )
+        self._assert_one_line_error(rc, out, err, "users")
+        assert "user 1" in err
+
+    def test_code_rows_missing(self, capsys, tmp_path):
+        code = tmp_path / "code.json"
+        code.write_text('{"q": 2}')
+        rc, out, err = run_cli(
+            capsys, "verify", "-m", "3", "-t", "1", "-S", "1", "--code", str(code)
+        )
+        self._assert_one_line_error(rc, out, err, "rows")
+
+
 class TestHypergraphCommands:
     def test_topology(self, capsys):
         rc, out, _ = run_cli(

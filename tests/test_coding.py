@@ -132,6 +132,17 @@ class TestMatrixBuilders:
                 minor = [[row[c] for c in cols] for row in rows]
                 assert not _brute_singular(minor, q), (k, cols)
 
+    @pytest.mark.parametrize(
+        "k,m,q",
+        [(4, 10, 11), (4, 11, 11), (4, 12, 13), (4, 13, 13), (4, 14, 17), (5, 14, 17), (3, 12, 13)],
+    )
+    def test_mds_built_blocks_every_minor_invertible(self, k, m, q):
+        # mds_rows does not check its minors at run time; these are the
+        # blocks the partition schemes build, checked here once
+        rows = mds_rows(k, m, q)
+        for cols in itertools.combinations(range(m), k):
+            assert gf_rank([[row[c] for c in cols] for row in rows], q) == k, cols
+
     def test_mds_needs_large_field(self):
         with pytest.raises(FieldTooSmall):
             mds_rows(2, 4, 3)

@@ -1,0 +1,26 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "picod").glob("*.py"))
+
+
+def test_sources_found():
+    assert any(path.name == "verifier.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    outside = sorted({n.split(".")[0] for n in names} - sys.stdlib_module_names)
+    assert not outside, f"{path.name} imports non-stdlib modules {outside}"

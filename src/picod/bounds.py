@@ -14,6 +14,9 @@ Closed-form lengths cover consecutive size profiles, profiles whose
 complement inside [0, m-t] is a consecutive run, one-size profiles, profiles
 entirely below or above the middle layer, profiles containing a symmetric
 band around the middle, and a verified table of the remaining m <= 5 cases.
+
+An acyclic set is a message bitmask reachable from the empty set by steps
+that add a message x desired by an entry holding nothing of the set so far.
 """
 
 from __future__ import annotations
@@ -49,48 +52,41 @@ def unicast_expansion(inst: Instance, assignment: Assignment) -> tuple[tuple[fro
     return tuple((a, d) for a, ds in zip(inst.users, assignment) for d in sorted(ds))
 
 
-def _mais_of_entries(m: int, by_msg: dict[int, list[int]]) -> int:
-    """Largest acyclic set over single-demand entries grouped by message.
-
-    by_msg maps a message to the side-information bitmasks of the entries
-    that desire it.  An acyclic set is equivalent to an ordering of distinct
-    messages in which each entry avoids all earlier messages, so the maximum
-    depends only on the set of messages used so far, which makes the search
-    memoizable on that set.
-    """
-    memo: dict[int, int] = {}
-
-    def f(used: int) -> int:
-        cached = memo.get(used)
-        if cached is not None:
-            return cached
-        best = 0
-        remaining = m - bin(used).count("1")
-        for d, masks in by_msg.items():
-            bit = 1 << d
-            if used & bit:
-                continue
-            if any(a & used == 0 for a in masks):
-                v = 1 + f(used | bit)
-                if v > best:
-                    best = v
-                    if best == remaining:
-                        break
-        memo[used] = best
-        return best
-
-    return f(0)
+def _close(
+    fam: set[int], by_msg: dict[int, list[int]], todo: list[int], limit: int, added: list[int]
+) -> bool:
+    """Add to fam and added, depth first, every set reachable from todo;
+    members of fam count as closed.  Returns False once a candidate holds
+    more than limit messages, leaving it on todo so a larger limit resumes."""
+    while todo:
+        u = todo.pop()
+        if u in fam:
+            continue
+        if u.bit_count() > limit:
+            todo.append(u)
+            return False
+        fam.add(u)
+        added.append(u)
+        for x, masks in by_msg.items():
+            if not u >> x & 1 and any(a & u == 0 for a in masks):
+                todo.append(u | 1 << x)
+    return True
 
 
 def mais(inst: Instance, assignment: Assignment, unicast_cap: int = DEFAULT_UNICAST_CAP) -> int:
-    """Exact maximum-acyclic-set size of one assignment's unicast expansion."""
+    """Exact maximum-acyclic-set size of one assignment's unicast expansion:
+    the first k whose family closes without a set of k + 1 messages."""
     entries = unicast_expansion(inst, assignment)
     if len(entries) > unicast_cap:
         raise CapExceeded("unicast expansion", len(entries), unicast_cap)
     by_msg: dict[int, list[int]] = {}
     for a, d in entries:
         by_msg.setdefault(d, []).append(sum(1 << x for x in a))
-    return _mais_of_entries(inst.m, by_msg)
+    fam, todo, k = set(), [0], 0
+    # no acyclic set exceeds the distinct desired messages, so stop there
+    while k < len(by_msg) and not _close(fam, by_msg, todo, k, []):
+        k += 1
+    return k
 
 
 def min_mais_lower_bound(
@@ -107,6 +103,14 @@ def min_mais_lower_bound(
     shrinks the bound).  The first target with a surviving full assignment
     is the exact minimum.
 
+    The scan keeps the family of acyclic sets of the current prefix instead
+    of re-solving the bound.  Giving user i (side information A) the set d
+    seeds U | x for each member U disjoint from A and x in d outside U, closes
+    the family from the seeds and prunes once a set of v + 1 messages appears;
+    backtracking removes exactly the sets added.  The seeds suffice: the steps
+    of a new set before the first that needs a new entry use old entries only,
+    so they end in the parent's family, complete since it held no set above v.
+
     With symmetric=True the first user's desired set is pinned to one
     representative; this is only sound when relabeling messages maps the
     instance to itself, as it does for complete-S instances, and the caller
@@ -120,39 +124,36 @@ def min_mais_lower_bound(
     if inst.t * inst.n > unicast_cap:
         raise CapExceeded("unicast expansion", inst.t * inst.n, unicast_cap)
 
-    m = inst.m
     choices = [user_choices(inst, i) for i in range(inst.n)]
     if symmetric:
         choices[0] = choices[0][:1]
     amask = [sum(1 << x for x in a) for a in inst.users]
 
-    by_msg: dict[int, list[int]] = {}
-
-    def add(i: int, d: frozenset[int]) -> None:
-        for x in d:
-            by_msg.setdefault(x, []).append(amask[i])
-
-    def remove(i: int, d: frozenset[int]) -> None:
-        for x in d:
-            by_msg[x].pop()
-            if not by_msg[x]:
-                del by_msg[x]
+    # the acyclic sets of the current prefix; a failed search restores both
+    fam = {0}
+    by_msg: dict[int, list[int]] = {x: [] for x in range(inst.m)}
 
     def dfs(i: int, target: int, picked: list[frozenset[int]]) -> tuple[frozenset[int], ...] | None:
         if i == inst.n:
             return tuple(picked)
+        a = amask[i]
         for d in choices[i]:
-            add(i, d)
-            picked.append(d)
-            if _mais_of_entries(m, by_msg) <= target:
+            for x in d:
+                by_msg[x].append(a)
+            seeds = [u | 1 << x for u in fam if u & a == 0 for x in d if not u >> x & 1]
+            added: list[int] = []
+            if _close(fam, by_msg, seeds, target, added):
+                picked.append(d)
                 found = dfs(i + 1, target, picked)
                 if found is not None:
                     return found
-            picked.pop()
-            remove(i, d)
+                picked.pop()
+            fam.difference_update(added)
+            for x in d:
+                by_msg[x].pop()
         return None
 
-    for target in range(inst.t, m + 1):
+    for target in range(inst.t, inst.m + 1):
         witness = dfs(0, target, [])
         if witness is not None:
             return target, witness

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 from typing import Sequence
@@ -77,15 +78,16 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     return build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
 
 
-def _infer_profile(inst: Instance) -> SizeProfile:
-    """The size profile S such that inst is the complete-S instance, if any."""
+def _infer_profile(inst: Instance) -> tuple[SizeProfile, Instance]:
+    """The size profile S such that inst is the complete-S instance, if any,
+    with that instance as build_complete_s orders its users."""
     sizes = frozenset(len(a) for a in inst.users)
     if not sizes or sum(comb(inst.m, s) for s in sizes) != inst.n:
         raise ValueError("instance is not complete for any size profile")
     expected = build_complete_s(inst.m, inst.t, sizes, user_cap=inst.n)
     if sorted(map(sorted, inst.users)) != sorted(map(sorted, expected.users)):
         raise ValueError("instance is not complete for any size profile")
-    return SizeProfile(sizes)
+    return SizeProfile(sizes), expected
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -99,20 +101,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.instance:
         inst = instance_from_json(Path(args.instance).read_text())
-        m, t, profile = inst.m, inst.t, _infer_profile(inst)
+        profile, built = _infer_profile(inst)
     else:
         if args.m is None or args.t is None or args.sizes is None:
             raise ValueError("provide --instance or all of -m, -t and -S")
-        m, t, profile = args.m, args.t, args.sizes
-        inst = build_complete_s(m, t, profile, user_cap=args.cap_users)
-    report = full_report(
-        m,
-        t,
-        profile,
-        q=args.field,
-        user_cap=args.cap_users,
-        assignment_cap=args.cap_assignments,
-    )
+        profile = args.sizes
+        inst = built = build_complete_s(args.m, args.t, profile, user_cap=args.cap_users)
+    report = full_report(inst.m, inst.t, profile, q=args.field, user_cap=args.cap_users,
+                         assignment_cap=args.cap_assignments)
+    # the witness lists users as built does; complete-S users are distinct
+    desired = dict(zip(built.users, report.witness_assignment))
+    report = replace(report, witness_assignment=tuple(desired[a] for a in inst.users))
     obj = json.loads(report.to_json())
     if args.exact or args.heuristic:
         limit = inst.n if args.exact else 0

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -29,17 +30,28 @@ from picod.coding import LinearCode, optimal_partition
 from picod.errors import CapExceeded
 from picod.instance import (
     Instance,
+    assignment_count,
     build_complete_s,
     enumerate_assignments,
     user_choices,
     validate_assignment,
 )
 from picod.verifier import is_valid
-from util import brute_mais, random_assignment, random_instance, seeded
+from util import brute_mais, brute_min_mais, random_assignment, random_instance, seeded
 
 
 def one_assignment(inst, rng):
     return tuple(frozenset(rng.choice(user_choices(inst, i))) for i in range(inst.n))
+
+
+def small_random_instance(seed):
+    """A random instance, usually not complete-S, whose assignments are few
+    enough to enumerate through the brute-force oracle."""
+    rng = seeded(seed)
+    while True:
+        inst = random_instance(rng, m_max=5, n_max=6, t=rng.randint(1, 2))
+        if assignment_count(inst) <= 2000:
+            return inst
 
 
 class TestUnicastExpansion:
@@ -121,9 +133,18 @@ class TestMinMais:
     )
     def test_matches_full_enumeration(self, m, t, sizes):
         inst = build_complete_s(m, t, sizes)
-        want = min(mais(inst, d) for d in enumerate_assignments(inst))
+        want = brute_min_mais(inst, enumerate_assignments(inst))
         got, witness = min_mais_lower_bound(inst)
         assert got == want
+        assert brute_mais(inst, witness) == got
+
+    @pytest.mark.parametrize("seed", range(40, 64))
+    def test_matches_full_enumeration_without_symmetry(self, seed):
+        inst = small_random_instance(seed)
+        want = brute_min_mais(inst, enumerate_assignments(inst))
+        got, witness = min_mais_lower_bound(inst, symmetric=False)
+        assert got == want
+        validate_assignment(inst, witness)
         assert brute_mais(inst, witness) == got
 
     @pytest.mark.parametrize(
@@ -144,6 +165,28 @@ class TestMinMais:
 
     def test_no_users(self):
         assert min_mais_lower_bound(Instance(2, 1, ())) == (0, ())
+
+
+class TestWideInputs:
+    """Instances with 30 or 40 messages fit every cap; the search must stay
+    polynomial in m on them, so a design that walks all 2^m message sets
+    fails on time."""
+
+    def test_forty_independent_demands(self):
+        start = time.perf_counter()
+        inst = Instance(m=40, t=1, users=(frozenset(),) * 40)
+        value = mais(inst, tuple(frozenset({x}) for x in range(40)))
+        elapsed = time.perf_counter() - start
+        assert value == 40
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("m,sizes", [(40, {39}), (30, {0})])
+    def test_full_report_stays_exact(self, m, sizes):
+        start = time.perf_counter()
+        rep = full_report(m, 1, sizes)
+        elapsed = time.perf_counter() - start
+        assert rep.lower_bound_method == MAIS_EXACT
+        assert elapsed < 5.0
 
 
 class TestKnownGaps:

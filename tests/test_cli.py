@@ -115,6 +115,27 @@ class TestReport:
         assert rc == 0
         assert json.loads(from_file) == json.loads(from_args)
 
+    @pytest.mark.parametrize("m,sizes", [("3", "1"), ("4", "0,2")])
+    def test_instance_file_in_reversed_user_order(self, capsys, tmp_path, m, sizes):
+        gen = tmp_path / "gen.json"
+        rev = tmp_path / "rev.json"
+        run_cli(capsys, "gen", "-m", m, "-t", "1", "-S", sizes, "-o", str(gen))
+        inst = json.loads(gen.read_text())
+        inst["users"].reverse()
+        rev.write_text(json.dumps(inst))
+        rc, out, _ = run_cli(capsys, "report", "--instance", str(rev), "--heuristic")
+        assert rc == 0
+        witness = json.loads(out)["witness_assignment"]
+        assert len(witness) == len(inst["users"])
+        for a, d in zip(inst["users"], witness):
+            assert len(d) == 1 and not set(a) & set(d)
+        chains = []
+        for path in (gen, rev):
+            rc, out, _ = run_cli(capsys, "report", "--instance", str(path), "--exact")
+            assert rc == 0
+            chains.append(json.loads(out)["chain"]["value"])
+        assert chains[0] == chains[1]
+
     def test_rejects_incomplete_instance(self, capsys, tmp_path):
         target = tmp_path / "inst.json"
         target.write_text('{"m": 3, "t": 1, "users": [[1]]}')

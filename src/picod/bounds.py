@@ -22,27 +22,24 @@ that add a message x desired by an entry holding nothing of the set so far.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coding import LinearCode, build_partition_scheme, optimal_partition
-from .errors import CapExceeded
+from .errors import SearchOverflow
 from .instance import (
-    DEFAULT_ASSIGNMENT_CAP,
     DEFAULT_USER_CAP,
     Assignment,
     Instance,
     SizeProfile,
     _as_sizes,
-    assignment_count,
     build_complete_s,
     user_choices,
     validate_assignment,
 )
 from .verifier import induced_assignment, is_valid
 
-DEFAULT_UNICAST_CAP = 40
+DEFAULT_MAIS_NODE_CAP = 5 * 10**6
 DEFAULT_EXACT_CHAIN_LIMIT = 12
 
 
@@ -53,12 +50,21 @@ def unicast_expansion(inst: Instance, assignment: Assignment) -> tuple[tuple[fro
 
 
 def _close(
-    fam: set[int], by_msg: dict[int, list[int]], todo: list[int], limit: int, added: list[int]
+    fam: set[int], by_msg: dict[int, list[int]], todo: list[int], limit: int, added: list[int],
+    budget: list[int],
 ) -> bool:
     """Add to fam and added, depth first, every set reachable from todo;
     members of fam count as closed.  Returns False once a candidate holds
-    more than limit messages, leaving it on todo so a larger limit resumes."""
+    more than limit messages, leaving it on todo so a larger limit resumes.
+
+    budget[0] is the number of pops left, shared by every call of one search;
+    when it runs out, SearchOverflow is raised with proven=limit, since both
+    callers only close at a limit that is already a proven lower bound.
+    """
     while todo:
+        if budget[0] <= 0:
+            raise SearchOverflow(f"acyclic-set search spent its node budget at {limit}", proven=limit)
+        budget[0] -= 1
         u = todo.pop()
         if u in fam:
             continue
@@ -73,26 +79,26 @@ def _close(
     return True
 
 
-def mais(inst: Instance, assignment: Assignment, unicast_cap: int = DEFAULT_UNICAST_CAP) -> int:
+def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NODE_CAP) -> int:
     """Exact maximum-acyclic-set size of one assignment's unicast expansion:
-    the first k whose family closes without a set of k + 1 messages."""
-    entries = unicast_expansion(inst, assignment)
-    if len(entries) > unicast_cap:
-        raise CapExceeded("unicast expansion", len(entries), unicast_cap)
+    the first k whose family closes without a set of k + 1 messages.
+
+    Raises SearchOverflow after node_cap popped sets; its `proven` is the k
+    reached, a lower bound on the answer.
+    """
     by_msg: dict[int, list[int]] = {}
-    for a, d in entries:
+    for a, d in unicast_expansion(inst, assignment):
         by_msg.setdefault(d, []).append(sum(1 << x for x in a))
-    fam, todo, k = set(), [0], 0
+    fam, todo, k, budget = set(), [0], 0, [node_cap]
     # no acyclic set exceeds the distinct desired messages, so stop there
-    while k < len(by_msg) and not _close(fam, by_msg, todo, k, []):
+    while k < len(by_msg) and not _close(fam, by_msg, todo, k, [], budget):
         k += 1
     return k
 
 
 def min_mais_lower_bound(
     inst: Instance,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    unicast_cap: int = DEFAULT_UNICAST_CAP,
+    node_cap: int = DEFAULT_MAIS_NODE_CAP,
     symmetric: bool = False,
 ) -> tuple[int, Assignment]:
     """Minimum of mais() over every assignment, with one minimizing witness.
@@ -111,6 +117,10 @@ def min_mais_lower_bound(
     of a new set before the first that needs a new entry use old entries only,
     so they end in the parent's family, complete since it held no set above v.
 
+    The whole search, over every target, pops at most node_cap sets.  Past
+    that it raises SearchOverflow whose `proven` is the target it was working
+    on: every smaller value was refuted, so the minimum is at least that.
+
     With symmetric=True the first user's desired set is pinned to one
     representative; this is only sound when relabeling messages maps the
     instance to itself, as it does for complete-S instances, and the caller
@@ -118,11 +128,6 @@ def min_mais_lower_bound(
     """
     if inst.n == 0:
         return 0, ()
-    count = assignment_count(inst)
-    if count > assignment_cap:
-        raise CapExceeded("assignment enumeration", count, assignment_cap)
-    if inst.t * inst.n > unicast_cap:
-        raise CapExceeded("unicast expansion", inst.t * inst.n, unicast_cap)
 
     choices = [user_choices(inst, i) for i in range(inst.n)]
     if symmetric:
@@ -132,6 +137,7 @@ def min_mais_lower_bound(
     # the acyclic sets of the current prefix; a failed search restores both
     fam = {0}
     by_msg: dict[int, list[int]] = {x: [] for x in range(inst.m)}
+    budget = [node_cap]
 
     def dfs(i: int, target: int, picked: list[frozenset[int]]) -> tuple[frozenset[int], ...] | None:
         if i == inst.n:
@@ -142,7 +148,7 @@ def min_mais_lower_bound(
                 by_msg[x].append(a)
             seeds = [u | 1 << x for u in fam if u & a == 0 for x in d if not u >> x & 1]
             added: list[int] = []
-            if _close(fam, by_msg, seeds, target, added):
+            if _close(fam, by_msg, seeds, target, added, budget):
                 picked.append(d)
                 found = dfs(i + 1, target, picked)
                 if found is not None:
@@ -153,6 +159,7 @@ def min_mais_lower_bound(
                 by_msg[x].pop()
         return None
 
+    # t is a sound start: one user's t desired messages form an acyclic set
     for target in range(inst.t, inst.m + 1):
         witness = dfs(0, target, [])
         if witness is not None:
@@ -350,7 +357,7 @@ def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> 
 # ---------- combined report ----------
 
 MAIS_EXACT = "mais-exact"
-MAIS_SUBINSTANCE = "mais-subinstance"
+MAIS_PARTIAL = "mais-partial"
 
 
 @dataclass(frozen=True)
@@ -394,33 +401,22 @@ class BoundReport:
         return json.dumps(obj, indent=2 if pretty else None)
 
 
-def _prefix_subinstance(inst: Instance, assignment_cap: int, unicast_cap: int) -> Instance:
-    """Longest user prefix whose assignment space and expansion fit the caps."""
-    total = 1
-    kept = 0
-    for a in inst.users:
-        total *= math.comb(inst.m - len(a), inst.t)
-        if total > assignment_cap or inst.t * (kept + 1) > unicast_cap:
-            break
-        kept += 1
-    return Instance(inst.m, inst.t, inst.users[:kept])
-
-
 def full_report(
     m: int,
     t: int,
     profile: SizeProfile | Iterable[int],
     q: int | None = None,
     user_cap: int = DEFAULT_USER_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    unicast_cap: int = DEFAULT_UNICAST_CAP,
+    node_cap: int = DEFAULT_MAIS_NODE_CAP,
 ) -> BoundReport:
     """Bounds, closed form, and a verified witness code for one complete-S case.
 
-    The lower bound is the exact assignment-minimized acyclic bound when the
-    assignment space fits the cap; otherwise the same bound on a user prefix
-    of the instance, which is still a sound lower bound (serving more users
-    can only need more rows) but is flagged as such and may not be tight.
+    The lower bound is the exact assignment-minimized acyclic bound
+    (mais-exact) when its search finishes within node_cap popped sets.
+    Otherwise it is the value the search had proven when the budget ran out
+    (mais-partial): sound, since every smaller value was refuted, but
+    possibly below the exact bound; the witness assignment is then the one
+    the scheme induces.
     """
     prof = _as_sizes(profile)
     inst = build_complete_s(m, t, prof, user_cap=user_cap)
@@ -431,14 +427,10 @@ def full_report(
         raise AssertionError("partition scheme failed verification")
     achieved = code.ell
     try:
-        lower, witness_assignment = min_mais_lower_bound(
-            inst, assignment_cap, unicast_cap, symmetric=True
-        )
+        lower, witness_assignment = min_mais_lower_bound(inst, node_cap, symmetric=True)
         method = MAIS_EXACT
-    except CapExceeded:
-        sub = _prefix_subinstance(inst, assignment_cap, unicast_cap)
-        lower, _ = min_mais_lower_bound(sub, assignment_cap, unicast_cap, symmetric=True)
-        method = MAIS_SUBINSTANCE
+    except SearchOverflow as exc:
+        lower, method = exc.proven, MAIS_PARTIAL
         witness_assignment = induced_assignment(code, inst)
     closed = closed_form_length(m, t, prof)
     return BoundReport(

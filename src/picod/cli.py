@@ -17,7 +17,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .bounds import best_chain_bound, full_report
+from .bounds import DEFAULT_MAIS_NODE_CAP, best_chain_bound, full_report
 from .coding import LinearCode, is_prime
 from .errors import PicodError
 from .hypergraph import (
@@ -28,7 +28,6 @@ from .hypergraph import (
     one_transmission_code,
 )
 from .instance import (
-    DEFAULT_ASSIGNMENT_CAP,
     DEFAULT_USER_CAP,
     Instance,
     SizeProfile,
@@ -108,7 +107,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         profile = args.sizes
         inst = built = build_complete_s(args.m, args.t, profile, user_cap=args.cap_users)
     report = full_report(inst.m, inst.t, profile, q=args.field, user_cap=args.cap_users,
-                         assignment_cap=args.cap_assignments)
+                         node_cap=args.cap_nodes)
     # the witness lists users as built does; complete-S users are distinct
     desired = dict(zip(built.users, report.witness_assignment))
     report = replace(report, witness_assignment=tuple(desired[a] for a in inst.users))
@@ -242,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--field", type=_prime_arg, help="prime field size override")
     p.add_argument(
-        "--cap-assignments", type=_positive_arg, default=DEFAULT_ASSIGNMENT_CAP,
-        help="largest desired-set assignment space to enumerate exactly",
+        "--cap-nodes", type=_positive_arg, default=DEFAULT_MAIS_NODE_CAP,
+        help="node budget of the lower-bound search; past it the bound is mais-partial",
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument(

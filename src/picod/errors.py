@@ -27,8 +27,13 @@ class SearchOverflow(PicodError):
     """An exact search ran out of node budget before reaching an answer.
 
     Distinct from a negative answer: the search neither found a witness nor
-    proved that none exists.
+    proved that none exists.  `proven` is the lower bound on the answer that
+    the search had established when it stopped, or None if it had none.
     """
+
+    def __init__(self, message: str, proven: int | None = None):
+        super().__init__(message)
+        self.proven = proven
 
 
 class NotAFactor(PicodError):

@@ -20,24 +20,19 @@ import pytest
 
 from picod.bounds import (
     MAIS_EXACT,
-    MAIS_SUBINSTANCE,
     best_chain_bound,
     closed_form_length,
     full_report,
     min_mais_lower_bound,
 )
 from picod.coding import build_partition_scheme, optimal_partition
-from picod.errors import CapExceeded
+from picod.errors import SearchOverflow
 from picod.hypergraph import (
     circular_arc_scheme_with_trace,
     has_one_factor,
     network_topology,
 )
-from picod.instance import (
-    DEFAULT_ASSIGNMENT_CAP,
-    assignment_count,
-    build_complete_s,
-)
+from picod.instance import build_complete_s
 from picod.oracles import (
     block_cover_impossibility,
     random_averaging_suite,
@@ -98,16 +93,17 @@ def test_criterion_02_consecutive_band_sweep():
                     assert is_valid(code, inst).valid
                     try:
                         lower, _ = min_mais_lower_bound(inst)
-                    except CapExceeded:
+                    except SearchOverflow:
                         capped.append((m, t, lo, hi))
-                        assert m == 5, "the m <= 4 sub-sweep must be cap-free"
+                        assert m == 5, "the m <= 4 sub-sweep must fit the node budget"
                         continue
                     assert lower == expect, (m, t, sizes, lower, expect)
     elapsed = time.perf_counter() - start
     ok = cases == 55 and elapsed < 600.0
     announce(2, ok, f"{cases} consecutive bands, closed form = acyclic bound "
                     f"= verified scheme length on all {cases - len(capped)} "
-                    f"in-cap cases; {len(capped)} capped (all m=5, reported) "
+                    f"in-budget cases; {len(capped)} over the node budget "
+                    f"(all m=5, reported) "
                     f"in {elapsed:.1f}s")
     assert cases == 55
     assert elapsed < 600.0
@@ -125,9 +121,8 @@ def test_criterion_03_two_transmission_margin_rows():
         assert is_valid(report.witness_code, inst).valid
         chain = best_chain_bound(inst, report.witness_assignment)
         assert chain.value >= report.closed_form[0]
-        if assignment_count(inst) <= DEFAULT_ASSIGNMENT_CAP:
-            assert report.lower_bound_method == MAIS_EXACT
-            assert report.lower_bound == 4
+        assert report.lower_bound_method == MAIS_EXACT
+        assert report.lower_bound == 4
         details.append(
             f"m={m} S={sorted(sizes)} t={t}: achieved=4 chain={chain.value} "
             f"lower={report.lower_bound} ({report.lower_bound_method})"
@@ -161,30 +156,20 @@ def test_criterion_04_small_case_table_conformance():
     ]
     start = time.perf_counter()
     gaps = []
-    flagged = []
     for m, sizes, t, table in rows:
         inst = build_complete_s(m, t, sizes)
         report = full_report(m, t, sizes)
         assert report.achieved == table, (m, sorted(sizes), t)
         assert is_valid(report.witness_code, inst).valid
-        feasible = assignment_count(inst) <= DEFAULT_ASSIGNMENT_CAP
-        if not feasible:
-            # validated by achieved length plus a chain-bound witness only
-            assert report.lower_bound_method == MAIS_SUBINSTANCE
-            chain = best_chain_bound(inst, report.witness_assignment)
-            assert chain.value >= 3
-            flagged.append(f"m={m} S={sorted(sizes)} t={t} "
-                           f"(space {assignment_count(inst)}, chain {chain.value})")
-            continue
+        assert report.lower_bound_method == MAIS_EXACT, (m, sorted(sizes), t)
         if report.lower_bound < table:
             gaps.append(f"m={m} S={sorted(sizes)} t={t}: "
                         f"acyclic bound {report.lower_bound} < optimum {table}")
     elapsed = time.perf_counter() - start
     ok = not gaps and elapsed < 60.0
     announce(4, ok,
-             f"achieved length matches the table on all {len(rows)} rows; "
-             f"{len(flagged)} rows over the assignment cap flagged "
-             f"[{'; '.join(flagged)}]; acyclic-bound shortfalls: "
+             f"achieved length matches the table on all {len(rows)} rows, "
+             f"all bounds mais-exact; acyclic-bound shortfalls: "
              f"{'; '.join(gaps) if gaps else 'none'} in {elapsed:.1f}s")
     assert elapsed < 60.0
     assert not gaps, (

@@ -12,7 +12,7 @@ from picod.bounds import (
     COMPLEMENT_CONSECUTIVE,
     CONSECUTIVE,
     MAIS_EXACT,
-    MAIS_SUBINSTANCE,
+    MAIS_PARTIAL,
     MIDDLE_BAND,
     SINGLETON,
     SMALL_M_TABLE,
@@ -27,7 +27,7 @@ from picod.bounds import (
     unicast_expansion,
 )
 from picod.coding import LinearCode, optimal_partition
-from picod.errors import CapExceeded
+from picod.errors import SearchOverflow
 from picod.instance import (
     Instance,
     assignment_count,
@@ -97,11 +97,29 @@ class TestMais:
             d = one_assignment(inst, rng)
             assert mais(inst, d) == brute_mais(inst, d)
 
-    def test_unicast_cap(self):
-        inst = Instance(m=2, t=1, users=(frozenset(),) * 41)
-        d = (frozenset({0}),) * 41
-        with pytest.raises(CapExceeded):
-            mais(inst, d)
+    def test_node_cap_overflow(self):
+        inst = Instance(m=6, t=1, users=(frozenset(),) * 6)
+        d = tuple(frozenset({x}) for x in range(6))
+        with pytest.raises(SearchOverflow) as info:
+            mais(inst, d, node_cap=10)
+        assert 0 <= info.value.proven <= 6
+        assert mais(inst, d, node_cap=200) == 6
+
+    @pytest.mark.parametrize("seed", range(64, 76))
+    def test_overflow_proves_a_lower_bound(self, seed):
+        inst = small_random_instance(seed)
+        d = random_assignment(seeded(seed), inst)
+        want = brute_mais(inst, d)
+        cap = 1
+        while True:
+            try:
+                got = mais(inst, d, node_cap=cap)
+            except SearchOverflow as exc:
+                assert exc.proven <= want, (cap, exc.proven, want)
+                cap *= 2
+                continue
+            assert got == want
+            break
 
     def test_monotone_under_user_extension(self):
         rng = seeded(33)
@@ -158,19 +176,36 @@ class TestMinMais:
             == min_mais_lower_bound(inst, symmetric=False)[0]
         )
 
-    def test_assignment_cap(self):
+    def test_node_cap_overflow(self):
         inst = build_complete_s(5, 1, {0, 1, 2, 3, 4})
-        with pytest.raises(CapExceeded):
-            min_mais_lower_bound(inst)
+        with pytest.raises(SearchOverflow) as info:
+            min_mais_lower_bound(inst, node_cap=1000, symmetric=True)
+        assert inst.t <= info.value.proven <= 4
+
+    @pytest.mark.parametrize("seed", range(64, 88))
+    def test_overflow_proves_a_lower_bound(self, seed):
+        inst = small_random_instance(seed)
+        want = brute_min_mais(inst, enumerate_assignments(inst))
+        cap = 1
+        while True:
+            try:
+                got, witness = min_mais_lower_bound(inst, node_cap=cap, symmetric=False)
+            except SearchOverflow as exc:
+                assert inst.t <= exc.proven <= want, (cap, exc.proven, want)
+                cap *= 2
+                continue
+            assert got == want
+            assert brute_mais(inst, witness) == got
+            break
 
     def test_no_users(self):
         assert min_mais_lower_bound(Instance(2, 1, ())) == (0, ())
 
 
 class TestWideInputs:
-    """Instances with 30 or 40 messages fit every cap; the search must stay
-    polynomial in m on them, so a design that walks all 2^m message sets
-    fails on time."""
+    """Instances with 30 or 40 messages; the search must stay polynomial in m
+    on them, so a design that walks all 2^m message sets fails on time or
+    runs out of its node budget."""
 
     def test_forty_independent_demands(self):
         start = time.perf_counter()
@@ -430,13 +465,19 @@ class TestFullReport:
         assert rep.lower_bound_method == MAIS_EXACT
         assert rep.closed_form == (4, SMALL_M_TABLE)
 
-    def test_capped_space_falls_back_to_prefix(self):
-        rep = full_report(5, 1, {0, 2, 3})
-        assert rep.lower_bound_method == MAIS_SUBINSTANCE
+    def test_spent_budget_reports_partial_bound(self):
+        rep = full_report(5, 1, {0, 2, 3}, node_cap=100)
+        assert rep.lower_bound_method == MAIS_PARTIAL
         assert rep.achieved == 4
-        assert rep.lower_bound <= 4
+        assert 1 <= rep.lower_bound <= 4
         inst = build_complete_s(5, 1, {0, 2, 3})
         validate_assignment(inst, rep.witness_assignment)
+
+    @pytest.mark.parametrize("m,t,sizes", [(5, 2, {1, 2, 3}), (6, 1, {0, 1, 4, 5})])
+    def test_large_unicast_expansion_stays_exact(self, m, t, sizes):
+        rep = full_report(m, t, sizes)
+        assert rep.lower_bound_method == MAIS_EXACT
+        assert (rep.lower_bound, rep.achieved) == (4, 4)
 
     def test_witness_assignment_is_valid(self):
         for m, t, sizes in [(3, 1, {1}), (4, 2, {0, 2}), (5, 1, {0, 2, 4})]:

@@ -155,6 +155,24 @@ class TestReport:
             main(["report", "-m", "3", "-t", "1", "-S", "1", "--field", "4"])
         assert exc.value.code == 2
 
+    def test_spent_node_budget_reports_partial_bound(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "report", "-m", "5", "-t", "1", "-S", "0-4", "--cap-nodes", "1000"
+        )
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["lower_bound_method"] == "mais-partial"
+        assert 1 <= obj["lower_bound"] <= obj["achieved"]
+
+    def test_zero_node_budget_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "-m", "3", "-t", "1", "-S", "1", "--cap-nodes", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "picod report: error: argument --cap-nodes: must be positive"
+        ]
+
 
 class TestVerify:
     def test_valid_code(self, capsys, tmp_path):

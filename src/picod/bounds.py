@@ -86,9 +86,11 @@ def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NO
     Raises SearchOverflow after node_cap popped sets; its `proven` is the k
     reached, a lower bound on the answer.
     """
+    validate_assignment(inst, assignment)
     by_msg: dict[int, list[int]] = {}
-    for a, d in unicast_expansion(inst, assignment):
-        by_msg.setdefault(d, []).append(sum(1 << x for x in a))
+    for a, ds in zip(inst.masks, assignment):
+        for d in sorted(ds):
+            by_msg.setdefault(d, []).append(a)
     fam, todo, k, budget = set(), [0], 0, [node_cap]
     # no acyclic set exceeds the distinct desired messages, so stop there
     while k < len(by_msg) and not _close(fam, by_msg, todo, k, [], budget):
@@ -132,7 +134,7 @@ def min_mais_lower_bound(
     choices = [user_choices(inst, i) for i in range(inst.n)]
     if symmetric:
         choices[0] = choices[0][:1]
-    amask = [sum(1 << x for x in a) for a in inst.users]
+    amask = inst.masks
 
     # the acyclic sets of the current prefix; a failed search restores both
     fam = {0}
@@ -243,7 +245,7 @@ def best_chain_bound(
     if n == 0:
         return ChainBoundResult(0, True, ())
     dmask = [sum(1 << x for x in d) for d in assignment]
-    adm = [sum(1 << x for x in a | d) for a, d in zip(inst.users, assignment)]
+    adm = [a | d for a, d in zip(inst.masks, dmask)]
 
     if n <= exact_limit:
         memo: dict[int, tuple[int, tuple[int, ...]]] = {}

@@ -164,7 +164,7 @@ def cmd_circular_arc(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma3_sweep(args: argparse.Namespace) -> int:
-    summary = sweep_intersection_families(args.ground_size, jobs=args.jobs)
+    summary = sweep_intersection_families(args.ground_size)
     obj = {
         "ground_size": summary.ground_size,
         "families": summary.families,
@@ -299,12 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exhaustive intersection-family witness sweep",
     )
     p.add_argument("-s", "--ground-size", type=_positive_arg, required=True)
-    p.add_argument("--jobs", type=_positive_arg, default=1)
     p.set_defaults(func=cmd_lemma3_sweep)
 
     p = osub.add_parser(
         "lemma4-random", parents=[output],
-        help="random averaging-pair suite (exact rationals)",
+        help="random averaging-pair suite (exact integer arithmetic)",
     )
     p.add_argument("--trials", type=_positive_arg, default=10000)
     p.add_argument("--seed", type=int, required=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -88,6 +89,12 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.users)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Side-information sets as bitmasks (bit x for message x), built once;
+        not a field, so equality and hashing still see only m, t and users."""
+        return tuple(sum(1 << x for x in a) for a in self.users)
 
 
 @dataclass(frozen=True)

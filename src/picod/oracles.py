@@ -5,10 +5,12 @@ Three independent pieces:
 - intersection families: given s + 1 subsets of a ground set of size s,
   there is always a nonempty index set P whose blocks intersect in exactly
   |P| - 1 elements.  The constructive witness search and an exhaustive
-  sweep live here.
+  sweep live here.  A witness's existence does not depend on the order of
+  the blocks, so the sweep checks each multiset of blocks once and counts
+  it once per ordering.
 - the averaging pair: for nonempty blocks over a ground set, some element
   j and some smallest block i containing it satisfy c_j * y >= x * |B_i|.
-  This drives the recursion above.
+  This drives the recursion above; its column weights are exact integers.
 - block covers: collections of message blocks that would have to exist if
   no user could decode s + t messages; checking the three cover properties
   and sweeping small parameter sets shows such covers cannot exist.
@@ -17,9 +19,8 @@ Three independent pieces:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded
@@ -34,7 +35,8 @@ def averaging_pair(blocks: Sequence[frozenset[int]], ground_size: int) -> tuple[
     """(i, j) with j in B_i and c_j * ground_size >= len(blocks) * |B_i|.
 
     j maximizes the column weight sum(1 / |B_k|) over blocks containing j,
-    computed in exact rationals; i is a smallest block containing j.
+    compared exactly as integers scaled by the lcm of the block sizes; i is a
+    smallest block containing j.
     """
     bl = [frozenset(b) for b in blocks]
     if not bl:
@@ -43,14 +45,15 @@ def averaging_pair(blocks: Sequence[frozenset[int]], ground_size: int) -> tuple[
         raise ValueError("blocks must be nonempty")
     if any(v < 0 or v >= ground_size for b in bl for v in b):
         raise ValueError("block element outside the ground set")
-    weight = [Fraction(0)] * ground_size
+    scale = math.lcm(*(len(b) for b in bl))
+    weight = [0] * ground_size
     for b in bl:
-        w = Fraction(1, len(b))
+        w = scale // len(b)
         for v in b:
             weight[v] += w
     j = max(range(ground_size), key=lambda v: weight[v])
-    # total weight is len(bl), so the best column reaches the average
-    assert weight[j] * ground_size >= len(bl)
+    # total weight is len(bl) * scale, so the best column reaches the average
+    assert weight[j] * ground_size >= len(bl) * scale
     i = min((k for k in range(len(bl)) if j in bl[k]), key=lambda k: (len(bl[k]), k))
     c_j = sum(1 for b in bl if j in b)
     assert c_j * ground_size >= len(bl) * len(bl[i])
@@ -179,58 +182,37 @@ class SweepSummary:
         return self.failures == 0
 
 
-def _bits(mask: int, s: int) -> frozenset[int]:
-    return frozenset(v for v in range(s) if mask >> v & 1)
+def sweep_intersection_families(ground_size: int) -> SweepSummary:
+    """Check every ordered family of s + 1 nonempty subsets of range(s).
 
-
-def _sweep_chunk(s: int, first_masks: tuple[int, ...]) -> tuple[int, int, int]:
-    """Sweep all families whose first block is in first_masks.
-
-    Returns (families, distinct canonical keys, failures).  Witnesses are
-    found once per sorted family and translated to each ordering, then
-    re-verified from scratch.
+    Reordering the blocks relabels a witness's indices and leaves the
+    intersection of the picked blocks unchanged, so an ordering has a witness
+    exactly when its sorted form does.  The sweep therefore finds and
+    re-verifies one witness per multiset of blocks (bitmasks), and weights it
+    by the multiset's number of orderings, (s + 1)! / prod(c!) over the
+    multiplicities c.  `families` counts the ordered families, (2^s - 1)^(s+1);
+    `distinct_keys` counts the multisets; `failures` counts ordered families
+    whose witness does not verify.
     """
-    nonempty = list(range(1, 1 << s))
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    families = 0
-    failures = 0
-    for first in first_masks:
-        for rest in itertools.product(nonempty, repeat=s):
-            fam = (first,) + rest
-            families += 1
-            key = tuple(sorted(fam))
-            hit = cache.get(key)
-            if hit is None:
-                canon = [_bits(mask, s) for mask in key]
-                hit = intersection_family_witness(canon, s)
-                cache[key] = hit
-            order = sorted(range(s + 1), key=lambda k: fam[k])
-            witness = tuple(order[p] for p in hit)
-            inter = fam[witness[0]]
-            for p in witness[1:]:
-                inter &= fam[p]
-            if inter.bit_count() != len(witness) - 1:
-                failures += 1
-    return families, len(cache), failures
-
-
-def sweep_intersection_families(ground_size: int, jobs: int = 1) -> SweepSummary:
-    """Check every ordered family of s + 1 nonempty subsets of range(s)."""
     s = ground_size
     if s < 1:
         raise ValueError("ground size must be positive")
-    nonempty = tuple(range(1, 1 << s))
-    if jobs <= 1 or len(nonempty) == 1:
-        fams, keys, fails = _sweep_chunk(s, nonempty)
-        return SweepSummary(s, fams, keys, fails)
-    chunks = [nonempty[k::jobs] for k in range(jobs) if nonempty[k::jobs]]
-    fams = keys = fails = 0
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for f, k, x in pool.map(_sweep_chunk, itertools.repeat(s), chunks):
-            fams += f
-            keys += k
-            fails += x
-    return SweepSummary(s, fams, keys, fails)
+    bits = [frozenset(v for v in range(s) if mask >> v & 1) for mask in range(1 << s)]
+    orderings = math.factorial(s + 1)
+    families = keys = failures = 0
+    for fam in itertools.combinations_with_replacement(range(1, 1 << s), s + 1):
+        weight = orderings
+        for c in map(fam.count, set(fam)):
+            weight //= math.factorial(c)
+        families += weight
+        keys += 1
+        witness = intersection_family_witness([bits[mask] for mask in fam], s)
+        inter = fam[witness[0]]
+        for p in witness[1:]:
+            inter &= fam[p]
+        if len(set(witness)) != len(witness) or inter.bit_count() != len(witness) - 1:
+            failures += weight
+    return SweepSummary(s, families, keys, failures)
 
 
 # ---------- block covers ----------

@@ -331,12 +331,13 @@ class TestOracleCommands:
         assert obj["failures"] == 0
         assert obj["ok"] is True
 
-    def test_lemma3_sweep_parallel(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "oracle", "lemma3-sweep", "-s", "2", "--jobs", "2"
-        )
-        assert rc == 0
-        assert json.loads(out)["families"] == 27
+    def test_lemma3_sweep_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "lemma3-sweep", "-s", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_lemma4_random(self, capsys):
         rc, out, _ = run_cli(

@@ -76,6 +76,15 @@ class TestBuildCompleteS:
         with pytest.raises(CapExceeded):
             build_complete_s(25, 1, set(range(25)), user_cap=10**6)
 
+    def test_masks_mirror_users_outside_equality(self):
+        inst = build_complete_s(4, 1, {0, 2})
+        assert inst.masks == tuple(
+            sum(1 << x for x in a) for a in inst.users
+        )
+        assert inst.masks[1] == 0b0011
+        fresh = Instance(inst.m, inst.t, inst.users)
+        assert fresh == inst and hash(fresh) == hash(inst)
+
 
 class TestValidation:
     def test_accepts_duplicates_and_empty(self):

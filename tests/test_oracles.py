@@ -1,12 +1,16 @@
 """Averaging pairs, intersection-family witnesses, and block covers."""
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from picod import oracles
 from picod.errors import CapExceeded
 from picod.oracles import (
     BlockCover,
+    SweepSummary,
     block_cover_impossibility,
     brute_intersection_family_witness,
     check_block_cover,
@@ -73,6 +77,45 @@ class TestAveragingPair:
         assert summary.trials == 500
         assert summary.failures == 0
         assert summary.ok
+
+    def test_integer_weights_match_fractions_on_random_families(self):
+        rng = seeded(505)
+        for _ in range(10_000):
+            y = rng.randint(1, 8)
+            x = rng.randint(1, 12)
+            blocks = [
+                frozenset(rng.sample(range(y), rng.randint(1, y)))
+                for _ in range(x)
+            ]
+            assert averaging_pair(blocks, y) == fraction_averaging_pair(blocks, y)
+
+    def test_integer_weights_match_fractions_inside_the_sweep(self, monkeypatch):
+        seen = []
+
+        def recording(blocks, ground_size):
+            seen.append((list(blocks), ground_size))
+            return averaging_pair(blocks, ground_size)
+
+        monkeypatch.setattr(oracles, "averaging_pair", recording)
+        assert sweep_intersection_families(3).ok
+        assert seen
+        for blocks, y in seen:
+            assert averaging_pair(blocks, y) == fraction_averaging_pair(blocks, y)
+
+
+def fraction_averaging_pair(blocks, ground_size):
+    """The averaging pair with column weights summed as exact Fractions."""
+    weight = [Fraction(0)] * ground_size
+    for b in blocks:
+        w = Fraction(1, len(b))
+        for v in b:
+            weight[v] += w
+    j = max(range(ground_size), key=lambda v: weight[v])
+    i = min(
+        (k for k in range(len(blocks)) if j in blocks[k]),
+        key=lambda k: (len(blocks[k]), k),
+    )
+    return i, j
 
 
 class TestVerifyIntersectionWitness:
@@ -150,11 +193,35 @@ class TestSweep:
         assert summary.distinct_keys <= 2401
         assert summary.ok
 
-    def test_parallel_matches_serial(self):
-        serial = sweep_intersection_families(2, jobs=1)
-        parallel = sweep_intersection_families(2, jobs=2)
-        assert serial.families == parallel.families
-        assert serial.failures == parallel.failures == 0
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_ordered_brute_force(self, s):
+        families = failures = 0
+        keys = set()
+        for family in itertools.product(all_nonempty_subsets(s), repeat=s + 1):
+            families += 1
+            keys.add(tuple(sorted(tuple(sorted(b)) for b in family)))
+            if brute_intersection_family_witness(list(family), s) is None:
+                failures += 1
+        assert failures == 0
+        assert sweep_intersection_families(s) == SweepSummary(s, families, len(keys), 0)
+
+    def test_failures_are_weighted_per_ordering(self, monkeypatch):
+        # every block is nonempty, so the single index 0 never meets in 0 elements
+        monkeypatch.setattr(oracles, "intersection_family_witness", lambda blocks, s: (0,))
+        for s, families in ((2, 27), (3, 2401)):
+            summary = sweep_intersection_families(s)
+            assert summary.families == summary.failures == families
+
+    def test_one_failing_multiset_counts_each_ordering(self, monkeypatch):
+        real = oracles.intersection_family_witness
+        bad = Counter([frozenset({0}), frozenset({0}), frozenset({0, 1})])
+
+        def fail_once(blocks, s):
+            return (0,) if Counter(blocks) == bad else real(blocks, s)
+
+        monkeypatch.setattr(oracles, "intersection_family_witness", fail_once)
+        summary = sweep_intersection_families(2)
+        assert (summary.families, summary.failures) == (27, 3)
 
     def test_rejects_nonpositive_ground(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """The package imports nothing outside the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "picod").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "picod").glob("*.py"))
 
 
 def test_sources_found():
@@ -24,3 +27,17 @@ def test_absolute_imports_are_stdlib(path):
             names.append(node.module)
     outside = sorted({n.split(".")[0] for n in names} - sys.stdlib_module_names)
     assert not outside, f"{path.name} imports non-stdlib modules {outside}"
+
+
+def test_import_starts_no_process_machinery():
+    # a process pool import would cost every command its startup time
+    code = (
+        "import sys, picod; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -52,7 +52,7 @@ def _check_field(q: int) -> None:
 def gf_rref(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over GF(q); returns (nonzero rows, pivot columns)."""
     _check_field(q)
-    mat = [list(int(x) % q for x in r) for r in rows]
+    mat = [[x % q for x in r] for r in rows]
     if not mat:
         return (), ()
     width = len(mat[0])

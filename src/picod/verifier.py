@@ -4,6 +4,9 @@ A user that knows the messages in K can decode message d from code X when
 the unit vector e_d lies in span(rows of X, {e_a : a in K}).  One elimination
 finds every such d at once: a decoded e_d already lies in that span, so
 adding it as side information leaves the span, and what it decodes, unchanged.
+A column outside the code's support is all zero: it is never a pivot, so
+never decoded, and dropping it from K leaves the projected row space as it
+is.  Users with the same `known & support` thus share one elimination.
 """
 
 from __future__ import annotations
@@ -61,16 +64,33 @@ class DecodabilityReport:
         return json.dumps(obj, indent=2 if pretty else None)
 
 
+def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
+    """Each user's decoded set, one elimination per `known & support`."""
+    # the whole range first: a user whose pattern is memoized skips the check
+    if any(x < 0 or x >= code.m for a in inst.users for x in a):
+        raise ValueError("known message outside column range")
+    support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
+    memo: dict[int, frozenset[int]] = {}
+    for a, mask in zip(inst.users, inst.masks):
+        if (key := mask & support) not in memo:
+            memo[key] = decodable_closure(code, a)
+        yield memo[key]
+
+
 def _satisfies(code: LinearCode, inst: Instance) -> bool:
     """Validity check with early exit, no report construction."""
-    return all(len(decodable_closure(code, a)) >= inst.t for a in inst.users)
+    return all(len(d) >= inst.t for d in _closures(code, inst))
 
 
 def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
-    """Closure of every user, and whether each decodes at least t messages."""
+    """Closure of every user, and whether each decodes at least t messages.
+
+    Zero columns are never decoded and leave the span as it is, so users
+    with the same `known & support(code)` share one elimination.
+    """
     if code.m != inst.m:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
-    per_user = tuple(UserDecoding(a, decodable_closure(code, a)) for a in inst.users)
+    per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
     return DecodabilityReport(inst.t, valid, per_user)
 

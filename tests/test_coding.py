@@ -84,6 +84,19 @@ class TestLinearAlgebra:
             vec = [rng.randrange(q) for _ in range(m)]
             assert gf_in_span(vec, rows, q) == brute_in_span(vec, rows, q)
 
+    def test_unreduced_entries_are_taken_mod_q(self):
+        # gf_rref eliminates on a reduced copy, so negative and oversized
+        # ints mean their residues, and the caller's rows stay untouched
+        rng = seeded(6)
+        for _ in range(40):
+            q = rng.choice([2, 3, 5])
+            raw = [[rng.randint(-2 * q, 2 * q) for _ in range(3)] for _ in range(3)]
+            before = [row[:] for row in raw]
+            reduced = [[x % q for x in row] for row in raw]
+            assert gf_rref(raw, q) == gf_rref(reduced, q)
+            assert raw == before
+            assert gf_in_span(raw[0], raw[1:], q) == brute_in_span(reduced[0], reduced[1:], q)
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             gf_rref([[1, 0], [1]], 2)

@@ -1,10 +1,12 @@
 """Decodability closure, validity reports, and exhaustive code search."""
 
 import json
+import time
 
 import pytest
 
-from picod.coding import LinearCode, gf_rref
+import picod.verifier
+from picod.coding import LinearCode, build_partition_scheme, gf_rref, optimal_partition
 from picod.errors import CapExceeded
 from picod.instance import Instance, build_complete_s
 from picod.verifier import (
@@ -108,6 +110,58 @@ class TestIsValid:
             q = rng.choice([2, 3])
             code = _random_code(rng, q, inst.m, rng.randint(0, 2))
             assert is_valid(code, inst).valid == brute_code_valid(q, code.rows, inst)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_known_outside_range_rejected_for_every_user(self, bad):
+        # user 1 shares user 0's pattern on the support column, so only a
+        # check over all users can see its out-of-range message
+        inst = Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
+        code = LinearCode(2, 3, ((0, 1, 0),))
+        with pytest.raises(ValueError, match="known message outside column range"):
+            is_valid(code, inst)
+
+    def test_shared_patterns_match_enumeration(self):
+        # zero columns make users with different side information share a
+        # `known & support` pattern; each must still get its own decoded set
+        rng = seeded(25)
+        shared = 0
+        for _ in range(60):
+            q = rng.choice([2, 3, 5])
+            inst = random_instance(rng, m_max={2: 6, 3: 5, 5: 4}[q], n_max=8, t=1)
+            m = inst.m
+            zero = set(rng.sample(range(m), rng.randint(1, m - 1)))
+            rows = tuple(
+                tuple(0 if c in zero else rng.randrange(q) for c in range(m))
+                for _ in range(rng.randint(1, 3))
+            )
+            code = LinearCode(q, m, rows)
+            report = is_valid(code, inst)
+            for a, user in zip(inst.users, report.per_user):
+                assert user.known == a
+                assert user.decoded == brute_closure(q, rows, m, a) - a
+            distinct = set(inst.users)
+            shared += len({a - zero for a in distinct}) < len(distinct)
+        assert shared >= 20
+
+    def test_one_elimination_per_support_pattern(self, monkeypatch):
+        # the partition code sends 7 unit rows, so 6006 users fall into
+        # 2^7 - 1 patterns: no user of size <= 6 holds all 7 sent messages
+        inst = build_complete_s(14, 1, {4, 5, 6})
+        code = build_partition_scheme(optimal_partition(14, 1, {4, 5, 6}))
+        calls = []
+        real = picod.verifier.decodable_closure
+
+        def counted(code, known):
+            calls.append(known)
+            return real(code, known)
+
+        monkeypatch.setattr(picod.verifier, "decodable_closure", counted)
+        start = time.perf_counter()
+        report = is_valid(code, inst)
+        elapsed = time.perf_counter() - start
+        assert inst.n == 6006 and report.valid
+        assert len(calls) == 127
+        assert elapsed < 1.0
 
     def test_report_json_is_one_based(self):
         inst = build_complete_s(2, 1, {0})

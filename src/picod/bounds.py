@@ -34,6 +34,7 @@ from .instance import (
     SizeProfile,
     _as_sizes,
     build_complete_s,
+    is_complete_s,
     user_choices,
     validate_assignment,
 )
@@ -101,7 +102,6 @@ def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NO
 def min_mais_lower_bound(
     inst: Instance,
     node_cap: int = DEFAULT_MAIS_NODE_CAP,
-    symmetric: bool = False,
 ) -> tuple[int, Assignment]:
     """Minimum of mais() over every assignment, with one minimizing witness.
 
@@ -123,16 +123,17 @@ def min_mais_lower_bound(
     that it raises SearchOverflow whose `proven` is the target it was working
     on: every smaller value was refuted, so the minimum is at least that.
 
-    With symmetric=True the first user's desired set is pinned to one
-    representative; this is only sound when relabeling messages maps the
-    instance to itself, as it does for complete-S instances, and the caller
-    vouches for that.
+    On a complete-S instance (`is_complete_s`) user 0 is pinned to its first
+    choice: the message permutations fixing A_0 map the instance to itself
+    and reach every choice of user 0 at the same bound.  So a target survives
+    the pinned scan iff it survives the full one, whose first subtree the
+    pinned scan is; value and witness agree.  Elsewhere a pin is unsound.
     """
     if inst.n == 0:
         return 0, ()
 
     choices = [user_choices(inst, i) for i in range(inst.n)]
-    if symmetric:
+    if is_complete_s(inst):
         choices[0] = choices[0][:1]
     amask = inst.masks
 
@@ -429,7 +430,7 @@ def full_report(
         raise AssertionError("partition scheme failed verification")
     achieved = code.ell
     try:
-        lower, witness_assignment = min_mais_lower_bound(inst, node_cap, symmetric=True)
+        lower, witness_assignment = min_mais_lower_bound(inst, node_cap)
         method = MAIS_EXACT
     except SearchOverflow as exc:
         lower, method = exc.proven, MAIS_PARTIAL

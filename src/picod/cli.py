@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from math import comb
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .instance import (
     build_complete_s,
     instance_from_json,
     instance_to_json,
+    is_complete_s,
 )
 from .oracles import (
     DEFAULT_COLLECTION_CAP,
@@ -80,13 +80,10 @@ def _load_instance(args: argparse.Namespace) -> Instance:
 def _infer_profile(inst: Instance) -> tuple[SizeProfile, Instance]:
     """The size profile S such that inst is the complete-S instance, if any,
     with that instance as build_complete_s orders its users."""
+    if not inst.users or not is_complete_s(inst):
+        raise ValueError("instance is not complete for any size profile")
     sizes = frozenset(len(a) for a in inst.users)
-    if not sizes or sum(comb(inst.m, s) for s in sizes) != inst.n:
-        raise ValueError("instance is not complete for any size profile")
-    expected = build_complete_s(inst.m, inst.t, sizes, user_cap=inst.n)
-    if sorted(map(sorted, inst.users)) != sorted(map(sorted, expected.users)):
-        raise ValueError("instance is not complete for any size profile")
-    return SizeProfile(sizes), expected
+    return SizeProfile(sizes), build_complete_s(inst.m, inst.t, sizes, user_cap=inst.n)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -165,13 +162,7 @@ def cmd_circular_arc(args: argparse.Namespace) -> int:
 
 def cmd_lemma3_sweep(args: argparse.Namespace) -> int:
     summary = sweep_intersection_families(args.ground_size)
-    obj = {
-        "ground_size": summary.ground_size,
-        "families": summary.families,
-        "distinct_keys": summary.distinct_keys,
-        "failures": summary.failures,
-        "ok": summary.ok,
-    }
+    obj = asdict(summary) | {"ok": summary.ok}
     _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
     return 0 if summary.ok else 1
 
@@ -180,12 +171,7 @@ def cmd_lemma4_random(args: argparse.Namespace) -> int:
     summary = random_averaging_suite(
         args.trials, args.seed, x_max=args.x_max, y_max=args.y_max
     )
-    obj = {
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "failures": summary.failures,
-        "ok": summary.ok,
-    }
+    obj = asdict(summary) | {"ok": summary.ok}
     _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
     return 0 if summary.ok else 1
 
@@ -195,15 +181,7 @@ def cmd_block_cover(args: argparse.Namespace) -> int:
         args.m, args.s, args.t, args.max_block_size,
         collection_cap=args.cap_collections,
     )
-    obj = {
-        "m": summary.m,
-        "s": summary.s,
-        "t": summary.t,
-        "max_block_size": summary.max_block_size,
-        "collections_checked": summary.collections_checked,
-        "valid_found": summary.valid_found,
-        "impossible": summary.impossible,
-    }
+    obj = asdict(summary) | {"impossible": summary.impossible}
     _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
     return 0 if summary.impossible else 1
 

@@ -164,10 +164,6 @@ def _arc_span(positions: frozenset[int], n: int) -> tuple[int, int]:
     return ps[0], len(ps)
 
 
-def _arc_set(start: int, length: int, n: int) -> frozenset[int]:
-    return frozenset((start + k) % n for k in range(length))
-
-
 @dataclass
 class CircularArcTrace:
     """How the scheme arrived at its rows, for inspection and tests."""

@@ -153,6 +153,14 @@ def build_complete_s(
     return Instance(m, t, users)
 
 
+def is_complete_s(inst: Instance) -> bool:
+    """Is inst complete-S for S = its users' sizes, in any user order?  Distinct
+    subsets of range(m) fill their layers exactly when sum C(m, s) = n."""
+    layers = sum(math.comb(inst.m, s) for s in {len(a) for a in inst.users})
+    in_range = all(0 <= x < inst.m for a in inst.users for x in a)
+    return in_range and len(set(inst.users)) == inst.n == layers
+
+
 def assignment_count(inst: Instance) -> int:
     """Number of full desired-set assignments of the instance."""
     total = 1

@@ -14,18 +14,27 @@ Three independent pieces:
 - block covers: collections of message blocks that would have to exist if
   no user could decode s + t messages; checking the three cover properties
   and sweeping small parameter sets shows such covers cannot exist.
+
+Public functions check their frozensets once; below them every set, the
+ground set included, is an int bitmask, so the recursion narrows the
+ground set instead of relabeling it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 
 DEFAULT_COLLECTION_CAP = 10**6
+
+
+def _mask(elements: Iterable[int]) -> int:
+    return sum(1 << v for v in elements)
 
 
 # ---------- averaging pair ----------
@@ -45,18 +54,27 @@ def averaging_pair(blocks: Sequence[frozenset[int]], ground_size: int) -> tuple[
         raise ValueError("blocks must be nonempty")
     if any(v < 0 or v >= ground_size for b in bl for v in b):
         raise ValueError("block element outside the ground set")
-    scale = math.lcm(*(len(b) for b in bl))
-    weight = [0] * ground_size
-    for b in bl:
-        w = scale // len(b)
-        for v in b:
-            weight[v] += w
-    j = max(range(ground_size), key=lambda v: weight[v])
-    # total weight is len(bl) * scale, so the best column reaches the average
-    assert weight[j] * ground_size >= len(bl) * scale
-    i = min((k for k in range(len(bl)) if j in bl[k]), key=lambda k: (len(bl[k]), k))
-    c_j = sum(1 for b in bl if j in b)
-    assert c_j * ground_size >= len(bl) * len(bl[i])
+    return _pair([_mask(b) for b in bl], (1 << ground_size) - 1)
+
+
+def _pair(masks: Sequence[int], ground: int) -> tuple[int, int]:
+    """averaging_pair on nonempty block masks inside the ground mask."""
+    sizes = [b.bit_count() for b in masks]
+    scale = math.lcm(*sizes)
+    weight = [0] * ground.bit_length()
+    for b, n in zip(masks, sizes):
+        while b:
+            low = b & -b
+            weight[low.bit_length() - 1] += scale // n
+            b ^= low
+    # columns outside the ground weigh 0, below every column of a block
+    j = max(range(len(weight)), key=weight.__getitem__)
+    # total weight is len(masks) * scale, so the best column reaches the average
+    y = ground.bit_count()
+    assert weight[j] * y >= len(masks) * scale
+    size, i = min((n, k) for k, (b, n) in enumerate(zip(masks, sizes)) if b >> j & 1)
+    c_j = sum(b >> j & 1 for b in masks)
+    assert c_j * y >= len(masks) * size
     return i, j
 
 
@@ -82,13 +100,10 @@ def random_averaging_suite(
     for _ in range(trials):
         y = rng.randint(1, y_max)
         x = rng.randint(1, x_max)
-        blocks = []
-        for _ in range(x):
-            size = rng.randint(1, y)
-            blocks.append(frozenset(rng.sample(range(y), size)))
-        i, j = averaging_pair(blocks, y)
-        c_j = sum(1 for b in blocks if j in b)
-        if j not in blocks[i] or c_j * y < x * len(blocks[i]):
+        blocks = [_mask(rng.sample(range(y), rng.randint(1, y))) for _ in range(x)]
+        i, j = _pair(blocks, (1 << y) - 1)
+        c_j = sum(b >> j & 1 for b in blocks)
+        if not blocks[i] >> j & 1 or c_j * y < x * blocks[i].bit_count():
             failures += 1
     return AveragingSuiteSummary(trials, seed, failures)
 
@@ -111,6 +126,12 @@ def verify_intersection_witness(
     return len(inter) == len(picked) - 1
 
 
+def _meets_exactly(masks: Sequence[int], witness: tuple[int, ...]) -> bool:
+    """verify_intersection_witness for indices of masks, known in range."""
+    inter = functools.reduce(int.__and__, (masks[p] for p in witness), -1)
+    return 0 < len(witness) == len(set(witness)) and inter.bit_count() == len(witness) - 1
+
+
 def intersection_family_witness(
     blocks: Sequence[frozenset[int]], ground_size: int
 ) -> tuple[int, ...]:
@@ -118,9 +139,8 @@ def intersection_family_witness(
 
     Takes ground_size + 1 subsets of range(ground_size).  Recursive
     construction: an empty block is its own witness; otherwise pivot on the
-    averaging pair (i, j), relabel so block i becomes an initial segment
-    with j at its top, and recurse on the trace of the other blocks through
-    block i below the pivot.
+    averaging pair (i, j) and recurse on the traces of |B_i| other blocks
+    containing j through B_i - {j}, which becomes the new ground set.
     """
     s = ground_size
     bl = [frozenset(b) for b in blocks]
@@ -128,33 +148,24 @@ def intersection_family_witness(
         raise ValueError("need exactly ground_size + 1 blocks")
     if any(v < 0 or v >= s for b in bl for v in b):
         raise ValueError("block element outside the ground set")
-
-    witness = _witness_recursive(bl, s)
-    assert verify_intersection_witness(bl, witness)
+    masks = [_mask(b) for b in bl]
+    witness = _witness(masks, (1 << s) - 1)
+    assert _meets_exactly(masks, witness)
     return witness
 
 
-def _witness_recursive(bl: list[frozenset[int]], s: int) -> tuple[int, ...]:
-    for i, b in enumerate(bl):
-        if not b:
-            return (i,)
-    if s == 1:
-        # both blocks are {0}
+def _witness(masks: Sequence[int], ground: int) -> tuple[int, ...]:
+    """intersection_family_witness on block masks inside the ground mask."""
+    if 0 in masks:
+        return (masks.index(0),)
+    if ground.bit_count() == 1:
+        # both blocks are the ground set
         return (0, 1)
-    i, j_elem = averaging_pair(bl, s)
-    j = len(bl[i])
-    # relabel the ground set: block i becomes {0 .. j-1} with j_elem -> j-1
-    inside = sorted(bl[i] - {j_elem}) + [j_elem]
-    outside = sorted(frozenset(range(s)) - bl[i])
-    relabel = {old: new for new, old in enumerate(inside + outside)}
-    others = sorted(k for k in range(len(bl)) if k != i and j_elem in bl[k])
-    assert len(others) >= j, "pivot column count below block size"
-    chosen = others[:j]
-    sub = [
-        frozenset(relabel[v] for v in (bl[k] & bl[i]) if v != j_elem)
-        for k in chosen
-    ]
-    sub_p = _witness_recursive(sub, j - 1)
+    i, j = _pair(masks, ground)
+    inner = masks[i] & ~(1 << j)
+    chosen = [k for k, b in enumerate(masks) if k != i and b >> j & 1][: masks[i].bit_count()]
+    assert len(chosen) == masks[i].bit_count(), "pivot column count below block size"
+    sub_p = _witness([masks[k] & inner for k in chosen], inner)
     return tuple(sorted({i} | {chosen[p] for p in sub_p}))
 
 
@@ -197,7 +208,6 @@ def sweep_intersection_families(ground_size: int) -> SweepSummary:
     s = ground_size
     if s < 1:
         raise ValueError("ground size must be positive")
-    bits = [frozenset(v for v in range(s) if mask >> v & 1) for mask in range(1 << s)]
     orderings = math.factorial(s + 1)
     families = keys = failures = 0
     for fam in itertools.combinations_with_replacement(range(1, 1 << s), s + 1):
@@ -206,11 +216,7 @@ def sweep_intersection_families(ground_size: int) -> SweepSummary:
             weight //= math.factorial(c)
         families += weight
         keys += 1
-        witness = intersection_family_witness([bits[mask] for mask in fam], s)
-        inter = fam[witness[0]]
-        for p in witness[1:]:
-            inter &= fam[p]
-        if len(set(witness)) != len(witness) or inter.bit_count() != len(witness) - 1:
+        if not _meets_exactly(fam, _witness(fam, (1 << s) - 1)):
             failures += weight
     return SweepSummary(s, families, keys, failures)
 
@@ -233,27 +239,40 @@ class CoverCheck:
     detail: str = ""
 
 
-def _p3_violation(
-    blocks: tuple[frozenset[int], ...], s: int, t: int
-) -> tuple[int, ...] | None:
+def _p3_violation(masks: Sequence[int], s: int, t: int) -> tuple[int, ...] | None:
     """A nonempty index set whose intersection size lands in [s : s+t-1].
 
     Prunes once an intersection drops below s; adding blocks only shrinks it.
     """
 
-    def dfs(start: int, cur: frozenset[int] | None, picked: tuple[int, ...]):
-        if cur is not None:
-            if s <= len(cur) <= s + t - 1:
+    def dfs(start: int, cur: int, picked: tuple[int, ...]):
+        if picked:
+            size = cur.bit_count()
+            if s <= size <= s + t - 1:
                 return picked
-            if len(cur) < s:
+            if size < s:
                 return None
-        for k in range(start, len(blocks)):
-            found = dfs(k + 1, blocks[k] if cur is None else cur & blocks[k], picked + (k,))
+        for k in range(start, len(masks)):
+            found = dfs(k + 1, cur & masks[k], picked + (k,))
             if found is not None:
                 return found
         return None
 
-    return dfs(0, None, ())
+    return dfs(0, -1, ())
+
+
+def _cover_check(masks: Sequence[int], subsets: Sequence[int], s: int, t: int) -> CoverCheck:
+    """P1, then P3, on block masks that pass P2; subsets are the masks of the
+    s-subsets of the ground set, in lexicographic order."""
+    for want in subsets:
+        if not any(want & b == want for b in masks):
+            sub = [v for v in range(want.bit_length()) if want >> v & 1]
+            return CoverCheck(False, "P1", f"subset {sub} uncovered")
+    bad = _p3_violation(masks, s, t)
+    if bad is not None:
+        inter = functools.reduce(int.__and__, (masks[k] for k in bad))
+        return CoverCheck(False, "P3", f"blocks {list(bad)} meet in {inter.bit_count()} elements")
+    return CoverCheck(True)
 
 
 def check_block_cover(cover: BlockCover) -> CoverCheck:
@@ -264,18 +283,8 @@ def check_block_cover(cover: BlockCover) -> CoverCheck:
             return CoverCheck(False, "P2", f"block {sorted(b)} leaves the ground set")
         if not (s < len(b) <= m):
             return CoverCheck(False, "P2", f"block size {len(b)} outside ({s}, {m}]")
-    for sub in itertools.combinations(range(m), s):
-        if not any(frozenset(sub) <= b for b in cover.blocks):
-            return CoverCheck(False, "P1", f"subset {list(sub)} uncovered")
-    bad = _p3_violation(cover.blocks, s, t)
-    if bad is not None:
-        inter = frozenset(range(m))
-        for k in bad:
-            inter &= cover.blocks[k]
-        return CoverCheck(
-            False, "P3", f"blocks {list(bad)} meet in {len(inter)} elements"
-        )
-    return CoverCheck(True)
+    subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
+    return _cover_check([_mask(b) for b in cover.blocks], subsets, s, t)
 
 
 @dataclass(frozen=True)
@@ -301,22 +310,24 @@ def block_cover_impossibility(
 ) -> ImpossibilitySummary:
     """Try every collection of admissible blocks; count the valid covers.
 
-    Admissible blocks have size in (s, max_block_size].  A count of zero
-    valid covers certifies that bounded-size covers cannot exist.
+    Admissible blocks have size in (s, max_block_size] and pass P2 by
+    construction.  A count of zero valid covers certifies that bounded-size
+    covers cannot exist.
     """
     candidates = [
-        frozenset(c)
+        _mask(c)
         for size in range(s + 1, max_block_size + 1)
         for c in itertools.combinations(range(m), size)
     ]
     total = 1 << len(candidates)
     if total > collection_cap:
         raise CapExceeded("block collections", total, collection_cap)
+    subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
     checked = 0
     valid = 0
     for r in range(len(candidates) + 1):
         for picked in itertools.combinations(candidates, r):
             checked += 1
-            if check_block_cover(BlockCover(m, s, t, tuple(picked))).ok:
+            if _cover_check(picked, subsets, s, t).ok:
                 valid += 1
     return ImpossibilitySummary(m, s, t, max_block_size, checked, valid)

@@ -64,11 +64,14 @@ class DecodabilityReport:
         return json.dumps(obj, indent=2 if pretty else None)
 
 
+def _check_range(inst: Instance) -> None:
+    """decodable_closure's range check, for users whose pattern is memoized."""
+    if any(x < 0 or x >= inst.m for a in inst.users for x in a):
+        raise ValueError("known message outside column range")
+
+
 def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
     """Each user's decoded set, one elimination per `known & support`."""
-    # the whole range first: a user whose pattern is memoized skips the check
-    if any(x < 0 or x >= code.m for a in inst.users for x in a):
-        raise ValueError("known message outside column range")
     support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
     memo: dict[int, frozenset[int]] = {}
     for a, mask in zip(inst.users, inst.masks):
@@ -90,6 +93,7 @@ def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     """
     if code.m != inst.m:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
+    _check_range(inst)
     per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
     return DecodabilityReport(inst.t, valid, per_user)
@@ -160,6 +164,7 @@ def min_linear_length_exhaustive(
     """
     if ell_max is None:
         ell_max = inst.m
+    _check_range(inst)
     for ell in range(0, min(ell_max, inst.m) + 1):
         count = gaussian_binomial(inst.m, ell, q)
         if count > space_cap:

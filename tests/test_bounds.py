@@ -160,7 +160,7 @@ class TestMinMais:
     def test_matches_full_enumeration_without_symmetry(self, seed):
         inst = small_random_instance(seed)
         want = brute_min_mais(inst, enumerate_assignments(inst))
-        got, witness = min_mais_lower_bound(inst, symmetric=False)
+        got, witness = min_mais_lower_bound(inst)
         assert got == want
         validate_assignment(inst, witness)
         assert brute_mais(inst, witness) == got
@@ -170,16 +170,26 @@ class TestMinMais:
         [(3, 1, {1}), (4, 1, {0, 2}), (4, 1, {1, 3}), (3, 2, {0, 1})],
     )
     def test_symmetry_pinning_changes_nothing(self, m, t, sizes):
+        # complete-S, so user 0 is pinned; the value is still the minimum
         inst = build_complete_s(m, t, sizes)
-        assert (
-            min_mais_lower_bound(inst, symmetric=True)[0]
-            == min_mais_lower_bound(inst, symmetric=False)[0]
-        )
+        got, witness = min_mais_lower_bound(inst)
+        assert got == brute_min_mais(inst, enumerate_assignments(inst))
+        assert witness[0] == user_choices(inst, 0)[0]
+        assert brute_mais(inst, witness) == got
+
+    def test_no_pin_on_duplicate_users(self):
+        # the layer counts add up (C(2, 0) + C(2, 1) = 3 users) but the empty
+        # set appears twice; pinning user 0 to {0} would force a bound of 2
+        inst = Instance(2, 1, (frozenset(), frozenset({0}), frozenset()))
+        assert brute_min_mais(inst, enumerate_assignments(inst)) == 1
+        got, witness = min_mais_lower_bound(inst)
+        assert got == 1
+        assert brute_mais(inst, witness) == 1
 
     def test_node_cap_overflow(self):
         inst = build_complete_s(5, 1, {0, 1, 2, 3, 4})
         with pytest.raises(SearchOverflow) as info:
-            min_mais_lower_bound(inst, node_cap=1000, symmetric=True)
+            min_mais_lower_bound(inst, node_cap=1000)
         assert inst.t <= info.value.proven <= 4
 
     @pytest.mark.parametrize("seed", range(64, 88))
@@ -189,7 +199,7 @@ class TestMinMais:
         cap = 1
         while True:
             try:
-                got, witness = min_mais_lower_bound(inst, node_cap=cap, symmetric=False)
+                got, witness = min_mais_lower_bound(inst, node_cap=cap)
             except SearchOverflow as exc:
                 assert inst.t <= exc.proven <= want, (cap, exc.proven, want)
                 cap *= 2
@@ -241,7 +251,7 @@ class TestKnownGaps:
 
     def test_five_messages_even_layers(self):
         inst = build_complete_s(5, 1, {0, 2, 4})
-        val, witness = min_mais_lower_bound(inst, symmetric=True)
+        val, witness = min_mais_lower_bound(inst)
         assert val == 3
         assert brute_mais(inst, witness) == 3
         assert optimal_partition(5, 1, {0, 2, 4}).total_cost == 4
@@ -254,7 +264,7 @@ class TestKnownGaps:
                     for combo in itertools.combinations(pool, r):
                         sizes = frozenset(combo)
                         inst = build_complete_s(m, t, sizes)
-                        val, _ = min_mais_lower_bound(inst, symmetric=True)
+                        val, _ = min_mais_lower_bound(inst)
                         cost = optimal_partition(m, t, sizes).total_cost
                         if (m, t, sizes) == (4, 1, frozenset({1, 3})):
                             assert val == cost - 1

@@ -418,3 +418,36 @@ class TestParserBasics:
             )
             assert proc.returncode == 0
             assert json.loads(proc.stdout) == {"m": 2, "t": 1, "users": [[]]}
+
+
+def readme_examples():
+    """(command, documented output) for every `$ picod` line in README.md's
+    shell blocks that reads and writes no file; wrapped output is joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for block in readme.read_text().split("```")[1::2]:
+        if not block.startswith("sh\n"):
+            continue
+        for chunk in block.split("\n$ ")[1:]:
+            command, *output = chunk.strip().split("\n")
+            argv = command.split()
+            if argv[0] == "picod" and not {"-o", "--instance", "--code"} & set(argv):
+                examples.append((command, " ".join(output)))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_file_free_example_is_collected(self):
+        commands = [command.split()[1] for command, _ in README_EXAMPLES]
+        assert commands == ["gen", "report", "oracle", "oracle", "oracle"]
+
+    @pytest.mark.parametrize(
+        "command,documented", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES]
+    )
+    def test_documented_output(self, capsys, command, documented):
+        rc, out, _ = run_cli(capsys, *command.split()[1:])
+        assert rc == 0
+        assert json.loads(out) == json.loads(documented)

@@ -15,6 +15,7 @@ from picod.instance import (
     enumerate_assignments,
     instance_from_json,
     instance_to_json,
+    is_complete_s,
     user_choices,
     validate_assignment,
     validate_instance,
@@ -84,6 +85,24 @@ class TestBuildCompleteS:
         assert inst.masks[1] == 0b0011
         fresh = Instance(inst.m, inst.t, inst.users)
         assert fresh == inst and hash(fresh) == hash(inst)
+
+
+class TestIsCompleteS:
+    @pytest.mark.parametrize("m,t,sizes", [(1, 1, {0}), (3, 1, {1}), (4, 1, {0, 2}), (5, 2, {0, 1, 3})])
+    def test_built_instances_in_any_order(self, m, t, sizes):
+        inst = build_complete_s(m, t, sizes)
+        assert is_complete_s(inst)
+        assert is_complete_s(Instance(m, t, inst.users[::-1]))
+
+    def test_layer_counts_alone_do_not_suffice(self):
+        # 1 + 2 users for S = {0, 1} at m = 2, but the empty set twice
+        assert not is_complete_s(Instance(2, 1, (frozenset(), frozenset({0}), frozenset())))
+
+    def test_missing_or_stray_users(self):
+        users = build_complete_s(3, 1, {1}).users
+        assert not is_complete_s(Instance(3, 1, users[:-1]))
+        assert not is_complete_s(Instance(3, 1, users[:-1] + (frozenset({3}),)))
+        assert not is_complete_s(Instance(3, 1, users + (frozenset({0, 1}),)))
 
 
 class TestValidation:

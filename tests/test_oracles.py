@@ -90,17 +90,21 @@ class TestAveragingPair:
             assert averaging_pair(blocks, y) == fraction_averaging_pair(blocks, y)
 
     def test_integer_weights_match_fractions_inside_the_sweep(self, monkeypatch):
+        real = oracles._pair
         seen = []
 
-        def recording(blocks, ground_size):
-            seen.append((list(blocks), ground_size))
-            return averaging_pair(blocks, ground_size)
+        def recording(masks, ground):
+            seen.append((list(masks), ground))
+            return real(masks, ground)
 
-        monkeypatch.setattr(oracles, "averaging_pair", recording)
+        monkeypatch.setattr(oracles, "_pair", recording)
         assert sweep_intersection_families(3).ok
         assert seen
-        for blocks, y in seen:
-            assert averaging_pair(blocks, y) == fraction_averaging_pair(blocks, y)
+        for masks, ground in seen:
+            # the recursion narrows the ground mask instead of relabeling, so
+            # columns outside it weigh 0 and never win the comparison
+            blocks = [frozenset(v for v in range(3) if b >> v & 1) for b in masks]
+            assert real(masks, ground) == fraction_averaging_pair(blocks, 3)
 
 
 def fraction_averaging_pair(blocks, ground_size):
@@ -170,6 +174,18 @@ class TestIntersectionFamilyWitness:
             count += 1
         assert count == ((1 << s) - 1) ** (s + 1)
 
+    def test_narrowed_ground_needs_no_relabeling(self):
+        # the recursion passes a ground mask that is not an initial segment;
+        # its witness must be the one of the order-preserving relabeling
+        rng = seeded(506)
+        for _ in range(500):
+            ground = sorted(rng.sample(range(9), rng.randint(1, 6)))
+            s = len(ground)
+            small = [frozenset(rng.sample(range(s), rng.randint(0, s))) for _ in range(s + 1)]
+            masks = [sum(1 << ground[v] for v in b) for b in small]
+            full = sum(1 << v for v in ground)
+            assert oracles._witness(masks, full) == intersection_family_witness(small, s)
+
     def test_internal_brute_force_agrees(self):
         rng = seeded(502)
         pool = all_nonempty_subsets(4)
@@ -207,19 +223,19 @@ class TestSweep:
 
     def test_failures_are_weighted_per_ordering(self, monkeypatch):
         # every block is nonempty, so the single index 0 never meets in 0 elements
-        monkeypatch.setattr(oracles, "intersection_family_witness", lambda blocks, s: (0,))
+        monkeypatch.setattr(oracles, "_witness", lambda masks, ground: (0,))
         for s, families in ((2, 27), (3, 2401)):
             summary = sweep_intersection_families(s)
             assert summary.families == summary.failures == families
 
     def test_one_failing_multiset_counts_each_ordering(self, monkeypatch):
-        real = oracles.intersection_family_witness
-        bad = Counter([frozenset({0}), frozenset({0}), frozenset({0, 1})])
+        real = oracles._witness
+        bad = Counter([0b01, 0b01, 0b11])  # the multiset {0}, {0}, {0, 1}
 
-        def fail_once(blocks, s):
-            return (0,) if Counter(blocks) == bad else real(blocks, s)
+        def fail_once(masks, ground):
+            return (0,) if ground == 0b11 and Counter(masks) == bad else real(masks, ground)
 
-        monkeypatch.setattr(oracles, "intersection_family_witness", fail_once)
+        monkeypatch.setattr(oracles, "_witness", fail_once)
         summary = sweep_intersection_families(2)
         assert (summary.families, summary.failures) == (27, 3)
 
@@ -330,6 +346,25 @@ class TestBlockCoverImpossibility:
         summary = block_cover_impossibility(3, 1, 1, 3)
         assert not summary.impossible
         assert summary.valid_found >= 1
+
+    @pytest.mark.parametrize(
+        "m,s,t,b", [(3, 1, 1, 3), (4, 1, 1, 2), (4, 1, 2, 3), (4, 2, 1, 3), (5, 3, 1, 4)]
+    )
+    def test_counts_match_checking_each_collection(self, m, s, t, b):
+        # the sweep skips P2 on its candidates, which pass it by construction
+        candidates = [
+            frozenset(c)
+            for size in range(s + 1, b + 1)
+            for c in itertools.combinations(range(m), size)
+        ]
+        valid = sum(
+            check_block_cover(BlockCover(m, s, t, picked)).ok
+            for r in range(len(candidates) + 1)
+            for picked in itertools.combinations(candidates, r)
+        )
+        summary = block_cover_impossibility(m, s, t, b)
+        assert summary.collections_checked == 1 << len(candidates)
+        assert summary.valid_found == valid
 
     def test_collection_cap(self):
         with pytest.raises(CapExceeded):

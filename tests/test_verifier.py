@@ -237,6 +237,14 @@ class TestMinLinearLength:
         inst = build_complete_s(3, 1, {1})
         assert min_linear_length_exhaustive(inst, q=2, ell_max=1) is None
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_known_outside_range_rejected(self, bad):
+        # user 1 shares user 0's pattern on every one-row code that satisfies
+        # user 0, so only a check before the search can see its stray message
+        inst = Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
+        with pytest.raises(ValueError, match="known message outside column range"):
+            min_linear_length_exhaustive(inst, q=2)
+
     def test_space_cap(self):
         inst = Instance(m=25, t=1, users=(frozenset(),))
         with pytest.raises(CapExceeded):

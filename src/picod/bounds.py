@@ -28,12 +28,11 @@ from typing import Iterable, Sequence
 from .coding import LinearCode, build_partition_scheme, optimal_partition
 from .errors import SearchOverflow
 from .instance import (
-    DEFAULT_USER_CAP,
     Assignment,
     Instance,
     SizeProfile,
     _as_sizes,
-    build_complete_s,
+    assignment_to_lists,
     is_complete_s,
     user_choices,
     validate_assignment,
@@ -202,7 +201,7 @@ def _greedy_chain(
 ) -> tuple[int, tuple[int, ...]]:
     used = 1 << first
     u = adm[first]
-    total = bin(dmask[first]).count("1")
+    total = dmask[first].bit_count()
     order = [first]
     while True:
         best_key: tuple[int, int, int] | None = None
@@ -210,10 +209,10 @@ def _greedy_chain(
         for j in range(n):
             if used & (1 << j):
                 continue
-            inc = bin(dmask[j] & ~u).count("1")
+            inc = (dmask[j] & ~u).bit_count()
             if inc == 0:
                 continue
-            growth = bin(adm[j] & ~u).count("1")
+            growth = (adm[j] & ~u).bit_count()
             key = (-inc, growth, j)
             if best_key is None or key < best_key:
                 best_key = key
@@ -259,7 +258,7 @@ def best_chain_bound(
             for j in range(n):
                 if used & (1 << j):
                     continue
-                inc = bin(dmask[j] & ~u).count("1")
+                inc = (dmask[j] & ~u).bit_count()
                 if inc == 0:
                     continue
                 sub_val, sub_ord = f(used | (1 << j), u | adm[j])
@@ -399,51 +398,48 @@ class BoundReport:
             if self.closed_form is None
             else {"value": self.closed_form[0], "rule": self.closed_form[1]},
             "witness_code": json.loads(self.witness_code.to_json()),
-            "witness_assignment": [sorted(x + 1 for x in d) for d in self.witness_assignment],
+            "witness_assignment": assignment_to_lists(self.witness_assignment),
         }
         return json.dumps(obj, indent=2 if pretty else None)
 
 
 def full_report(
-    m: int,
-    t: int,
-    profile: SizeProfile | Iterable[int],
+    inst: Instance,
     q: int | None = None,
-    user_cap: int = DEFAULT_USER_CAP,
     node_cap: int = DEFAULT_MAIS_NODE_CAP,
 ) -> BoundReport:
-    """Bounds, closed form, and a verified witness code for one complete-S case.
+    """Bounds, closed form, and a verified witness code for one complete-S
+    instance, its users in any order; S is the set of their sizes.
 
     The lower bound is the exact assignment-minimized acyclic bound
     (mais-exact) when its search finishes within node_cap popped sets.
     Otherwise it is the value the search had proven when the budget ran out
     (mais-partial): sound, since every smaller value was refuted, but
     possibly below the exact bound; the witness assignment is then the one
-    the scheme induces.
+    the scheme induces.  Either way it lists users in inst's order.
     """
-    prof = _as_sizes(profile)
-    inst = build_complete_s(m, t, prof, user_cap=user_cap)
-    plan = optimal_partition(m, t, prof)
-    code = build_partition_scheme(plan, q)
-    report = is_valid(code, inst)
-    if not report.valid:
+    if not inst.users or not is_complete_s(inst):
+        raise ValueError("instance is not complete for any size profile")
+    prof = SizeProfile(frozenset(len(a) for a in inst.users))
+    # also rejects t outside [1, m] and sizes above m - t
+    closed = closed_form_length(inst.m, inst.t, prof)
+    code = build_partition_scheme(optimal_partition(inst.m, inst.t, prof), q)
+    if not is_valid(code, inst).valid:
         raise AssertionError("partition scheme failed verification")
-    achieved = code.ell
     try:
         lower, witness_assignment = min_mais_lower_bound(inst, node_cap)
         method = MAIS_EXACT
     except SearchOverflow as exc:
         lower, method = exc.proven, MAIS_PARTIAL
         witness_assignment = induced_assignment(code, inst)
-    closed = closed_form_length(m, t, prof)
     return BoundReport(
-        m=m,
-        t=t,
+        m=inst.m,
+        t=inst.t,
         sizes=prof.sorted(),
         lower_bound=lower,
         lower_bound_method=method,
-        achieved=achieved,
-        tight=lower == achieved,
+        achieved=code.ell,
+        tight=lower == code.ell,
         closed_form=closed,
         witness_code=code,
         witness_assignment=witness_assignment,

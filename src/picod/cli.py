@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +33,6 @@ from .instance import (
     build_complete_s,
     instance_from_json,
     instance_to_json,
-    is_complete_s,
 )
 from .oracles import (
     DEFAULT_COLLECTION_CAP,
@@ -77,15 +76,6 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     return build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
 
 
-def _infer_profile(inst: Instance) -> tuple[SizeProfile, Instance]:
-    """The size profile S such that inst is the complete-S instance, if any,
-    with that instance as build_complete_s orders its users."""
-    if not inst.users or not is_complete_s(inst):
-        raise ValueError("instance is not complete for any size profile")
-    sizes = frozenset(len(a) for a in inst.users)
-    return SizeProfile(sizes), build_complete_s(inst.m, inst.t, sizes, user_cap=inst.n)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.m is None or args.t is None or args.sizes is None:
         raise ValueError("provide all of -m, -t and -S")
@@ -95,19 +85,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.instance:
-        inst = instance_from_json(Path(args.instance).read_text())
-        profile, built = _infer_profile(inst)
-    else:
-        if args.m is None or args.t is None or args.sizes is None:
-            raise ValueError("provide --instance or all of -m, -t and -S")
-        profile = args.sizes
-        inst = built = build_complete_s(args.m, args.t, profile, user_cap=args.cap_users)
-    report = full_report(inst.m, inst.t, profile, q=args.field, user_cap=args.cap_users,
-                         node_cap=args.cap_nodes)
-    # the witness lists users as built does; complete-S users are distinct
-    desired = dict(zip(built.users, report.witness_assignment))
-    report = replace(report, witness_assignment=tuple(desired[a] for a in inst.users))
+    inst = _load_instance(args)
+    report = full_report(inst, q=args.field, node_cap=args.cap_nodes)
     obj = json.loads(report.to_json())
     if args.exact or args.heuristic:
         limit = inst.n if args.exact else 0

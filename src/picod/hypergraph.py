@@ -116,7 +116,8 @@ def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> L
     if h.n_vertices == 0:
         raise NotAFactor("topology has no users")
     labels = list(factor)
-    if len(set(labels)) != len(labels):
+    chosen = set(labels)
+    if len(chosen) != len(labels):
         raise NotAFactor("factor repeats an edge")
     if any(j < 0 or j >= len(h.edges) for j in labels):
         raise NotAFactor("factor uses an unknown edge label")
@@ -128,7 +129,7 @@ def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> L
         covered |= e
     if covered != set(range(h.n_vertices)):
         raise NotAFactor("factor leaves a user uncovered")
-    row = tuple(1 if j in set(labels) else 0 for j in range(len(h.edges)))
+    row = tuple(1 if j in chosen else 0 for j in range(len(h.edges)))
     return LinearCode(q, len(h.edges), (row,))
 
 
@@ -241,7 +242,7 @@ def circular_arc_scheme_with_trace(
     if inst.n == 0:
         raise ValueError("instance has no users")
     topo = network_topology(inst)
-    covered = frozenset().union(*topo.edges) if topo.edges else frozenset()
+    covered = frozenset().union(*topo.edges)
     if covered != frozenset(range(inst.n)):
         raise ValueError("some user misses no message at all")
     if not verify_circular_arc(topo, order):
@@ -288,9 +289,8 @@ def circular_arc_scheme_with_trace(
         for p in arcs[j]:
             counts[p] += 1
 
-    rows: list[tuple[int, ...]] = []
-    row1 = tuple(1 if j in set(selected) else 0 for j in range(inst.m))
-    rows.append(row1)
+    chosen = set(selected)
+    rows = [tuple(1 if j in chosen else 0 for j in range(inst.m))]
 
     if any(c != 1 for c in counts):
         covers: list[int] = []

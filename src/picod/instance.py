@@ -3,8 +3,9 @@
 An instance has m messages and n users.  User i holds the messages in its
 side-information set A_i and is happy once it can decode any t messages it
 does not hold.  Message indices are 0-based internally and 1-based in the
-JSON wire format; the conversion happens only in the (de)serialization
-helpers at the bottom of this module.
+JSON wire format.  The helpers at the bottom of this module convert
+instances and assignments; verifier, hypergraph, bounds and cli convert
+the outputs they serialize themselves.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def test_criterion_03_two_transmission_margin_rows():
     details = []
     for m, t, sizes in ((6, 1, {0, 1, 4, 5}), (5, 2, {0, 3})):
         inst = build_complete_s(m, t, sizes)
-        report = full_report(m, t, sizes)
+        report = full_report(inst)
         assert report.closed_form is not None
         assert report.closed_form[0] == 4
         assert report.achieved == 4
@@ -158,7 +158,7 @@ def test_criterion_04_small_case_table_conformance():
     gaps = []
     for m, sizes, t, table in rows:
         inst = build_complete_s(m, t, sizes)
-        report = full_report(m, t, sizes)
+        report = full_report(inst)
         assert report.achieved == table, (m, sorted(sizes), t)
         assert is_valid(report.witness_code, inst).valid
         assert report.lower_bound_method == MAIS_EXACT, (m, sorted(sizes), t)

@@ -228,7 +228,7 @@ class TestWideInputs:
     @pytest.mark.parametrize("m,sizes", [(40, {39}), (30, {0})])
     def test_full_report_stays_exact(self, m, sizes):
         start = time.perf_counter()
-        rep = full_report(m, 1, sizes)
+        rep = full_report(build_complete_s(m, 1, sizes))
         elapsed = time.perf_counter() - start
         assert rep.lower_bound_method == MAIS_EXACT
         assert elapsed < 5.0
@@ -440,7 +440,7 @@ class TestBoundReport:
             )
 
     def test_json_shape(self):
-        rep = full_report(3, 1, {1})
+        rep = full_report(build_complete_s(3, 1, {1}))
         obj = json.loads(rep.to_json())
         assert obj["m"] == 3 and obj["t"] == 1 and obj["S"] == [1]
         assert obj["lower_bound"] == 2 and obj["achieved"] == 2
@@ -453,22 +453,23 @@ class TestBoundReport:
 
 class TestFullReport:
     def test_three_messages_singleton(self):
-        rep = full_report(3, 1, {1}, q=2)
+        inst = build_complete_s(3, 1, {1})
+        rep = full_report(inst, q=2)
         assert (rep.lower_bound, rep.achieved, rep.tight) == (2, 2, True)
         assert rep.closed_form == (2, SINGLETON)
-        assert is_valid(rep.witness_code, build_complete_s(3, 1, {1})).valid
+        assert is_valid(rep.witness_code, inst).valid
 
     def test_four_messages_table_row(self):
-        rep = full_report(4, 1, {0, 2})
+        rep = full_report(build_complete_s(4, 1, {0, 2}))
         assert (rep.lower_bound, rep.achieved, rep.tight) == (3, 3, True)
         assert rep.closed_form == (3, SMALL_M_TABLE)
 
     def test_trivial_instance(self):
-        rep = full_report(2, 1, {0})
+        rep = full_report(build_complete_s(2, 1, {0}))
         assert (rep.lower_bound, rep.achieved, rep.tight) == (1, 1, True)
 
     def test_gap_is_reported_not_hidden(self):
-        rep = full_report(5, 1, {0, 2, 4})
+        rep = full_report(build_complete_s(5, 1, {0, 2, 4}))
         assert rep.lower_bound == 3
         assert rep.achieved == 4
         assert not rep.tight
@@ -476,20 +477,29 @@ class TestFullReport:
         assert rep.closed_form == (4, SMALL_M_TABLE)
 
     def test_spent_budget_reports_partial_bound(self):
-        rep = full_report(5, 1, {0, 2, 3}, node_cap=100)
+        inst = build_complete_s(5, 1, {0, 2, 3})
+        rep = full_report(inst, node_cap=100)
         assert rep.lower_bound_method == MAIS_PARTIAL
         assert rep.achieved == 4
         assert 1 <= rep.lower_bound <= 4
-        inst = build_complete_s(5, 1, {0, 2, 3})
         validate_assignment(inst, rep.witness_assignment)
 
     @pytest.mark.parametrize("m,t,sizes", [(5, 2, {1, 2, 3}), (6, 1, {0, 1, 4, 5})])
     def test_large_unicast_expansion_stays_exact(self, m, t, sizes):
-        rep = full_report(m, t, sizes)
+        rep = full_report(build_complete_s(m, t, sizes))
         assert rep.lower_bound_method == MAIS_EXACT
         assert (rep.lower_bound, rep.achieved) == (4, 4)
 
     def test_witness_assignment_is_valid(self):
         for m, t, sizes in [(3, 1, {1}), (4, 2, {0, 2}), (5, 1, {0, 2, 4})]:
-            rep = full_report(m, t, sizes)
-            validate_assignment(build_complete_s(m, t, sizes), rep.witness_assignment)
+            inst = build_complete_s(m, t, sizes)
+            rep = full_report(inst)
+            validate_assignment(inst, rep.witness_assignment)
+
+    def test_rejects_incomplete_instance(self):
+        users = build_complete_s(4, 1, {0, 2}).users
+        missing = Instance(4, 1, users[:-1])
+        duplicated = Instance(4, 1, users[:-1] + users[:1])
+        for inst in (missing, duplicated, Instance(4, 1, ())):
+            with pytest.raises(ValueError, match="not complete"):
+                full_report(inst)

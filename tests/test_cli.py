@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import pytest
 
 import picod
 from picod.cli import main
+from picod.instance import build_complete_s, instance_to_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +139,51 @@ class TestReport:
             assert rc == 0
             chains.append(json.loads(out)["chain"]["value"])
         assert chains[0] == chains[1]
+
+    @pytest.mark.parametrize("m,t,sizes", [("4", "1", "0,2"), ("5", "2", "0,3")])
+    def test_instance_file_in_shuffled_user_order(self, capsys, tmp_path, m, t, sizes):
+        rc, out, _ = run_cli(capsys, "report", "-m", m, "-t", t, "-S", sizes)
+        assert rc == 0
+        expected = json.loads(out)
+        _, out, _ = run_cli(capsys, "gen", "-m", m, "-t", t, "-S", sizes)
+        users = json.loads(out)["users"]
+        target = tmp_path / "inst.json"
+        for seed in range(3):
+            random.Random(seed).shuffle(users)
+            target.write_text(json.dumps({"m": int(m), "t": int(t), "users": users}))
+            rc, out, _ = run_cli(capsys, "report", "--instance", str(target))
+            assert rc == 0
+            obj = json.loads(out)
+            for key in ("lower_bound", "achieved", "closed_form", "witness_code"):
+                assert obj[key] == expected[key], (seed, key)
+            assert len(obj["witness_assignment"]) == len(users)
+            for a, d in zip(users, obj["witness_assignment"]):
+                assert len(d) == len(set(d) - set(a)) == int(t)
+
+    def test_builds_instance_once(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "inst.json"
+        target.write_text(instance_to_json(build_complete_s(4, 1, {1, 2})))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_complete_s(*args, **kwargs)
+
+        patched = [
+            name for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "picod"
+            and getattr(mod, "build_complete_s", None) is build_complete_s
+        ]
+        assert "picod.cli" in patched
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "build_complete_s", counting)
+        rc, _, _ = run_cli(capsys, "report", "-m", "4", "-t", "1", "-S", "1,2")
+        assert rc == 0
+        assert len(calls) == 1
+        calls.clear()
+        rc, _, _ = run_cli(capsys, "report", "--instance", str(target))
+        assert rc == 0
+        assert calls == []
 
     def test_rejects_incomplete_instance(self, capsys, tmp_path):
         target = tmp_path / "inst.json"
@@ -423,9 +472,8 @@ class TestParserBasics:
 def readme_examples():
     """(command, documented output) for every `$ picod` line in README.md's
     shell blocks that reads and writes no file; wrapped output is joined."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     examples = []
-    for block in readme.read_text().split("```")[1::2]:
+    for block in README.read_text().split("```")[1::2]:
         if not block.startswith("sh\n"):
             continue
         for chunk in block.split("\n$ ")[1:]:
@@ -437,6 +485,12 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+
+
+def readme_library_example():
+    """The ```python block under README.md's "## Library example" heading."""
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 class TestReadmeExamples:
@@ -451,3 +505,14 @@ class TestReadmeExamples:
         rc, out, _ = run_cli(capsys, *command.split()[1:])
         assert rc == 0
         assert json.loads(out) == json.loads(documented)
+
+    def test_library_example(self, capsys):
+        # run the block as written; each print must show its `# ...` comment
+        code = readme_library_example()
+        exec(compile(code, str(README), "exec"), {})
+        documented = [
+            line.split("  # ", 1)[1] for line in code.splitlines()
+            if line.startswith("print(")
+        ]
+        assert documented
+        assert capsys.readouterr().out.splitlines() == documented

@@ -122,37 +122,53 @@ def min_mais_lower_bound(
     that it raises SearchOverflow whose `proven` is the target it was working
     on: every smaller value was refuted, so the minimum is at least that.
 
-    On a complete-S instance (`is_complete_s`) user 0 is pinned to its first
-    choice: the message permutations fixing A_0 map the instance to itself
-    and reach every choice of user 0 at the same bound.  So a target survives
-    the pinned scan iff it survives the full one, whose first subtree the
-    pinned scan is; value and witness agree.  Elsewhere a pin is unsound.
+    On a complete-S instance (`is_complete_s`) every message permutation maps
+    the instance to itself.  At depth i the messages split into cells, the
+    atoms of A_0, d_0, ..., A_{i-1}, d_{i-1}, A_i; a permutation keeping each
+    cell fixes users 0..i (their side information is distinct) and reorders
+    only later users.  So choices of user i with equal counts |d & cell| in
+    every cell have the same surviving completions, and only the first per
+    count vector is tried (at depth 0, user 0's first choice).  The full
+    scan's first surviving choice is the first of its orbit, so value and
+    witness agree with it.  Elsewhere each message is its own cell.
     """
     if inst.n == 0:
         return 0, ()
 
-    choices = [user_choices(inst, i) for i in range(inst.n)]
-    if is_complete_s(inst):
-        choices[0] = choices[0][:1]
+    choices = [[(d, sum(1 << x for x in d)) for d in user_choices(inst, i)]
+               for i in range(inst.n)]
     amask = inst.masks
+    cells0 = [(1 << inst.m) - 1] if is_complete_s(inst) else [1 << x for x in range(inst.m)]
+
+    def refine(cells: list[int], s: int) -> list[int]:
+        return [p for c in cells for p in (c & s, c & ~s) if p]
 
     # the acyclic sets of the current prefix; a failed search restores both
     fam = {0}
     by_msg: dict[int, list[int]] = {x: [] for x in range(inst.m)}
     budget = [node_cap]
 
-    def dfs(i: int, target: int, picked: list[frozenset[int]]) -> tuple[frozenset[int], ...] | None:
+    def dfs(
+        i: int, target: int, picked: list[frozenset[int]], cells: list[int]
+    ) -> tuple[frozenset[int], ...] | None:
         if i == inst.n:
             return tuple(picked)
         a = amask[i]
-        for d in choices[i]:
+        cells = refine(cells, a)
+        tried: set[tuple[int, ...]] = set()
+        for d, dm in choices[i]:
+            if len(cells) < inst.m:
+                key = tuple((dm & c).bit_count() for c in cells)
+                if key in tried:
+                    continue
+                tried.add(key)
             for x in d:
                 by_msg[x].append(a)
             seeds = [u | 1 << x for u in fam if u & a == 0 for x in d if not u >> x & 1]
             added: list[int] = []
             if _close(fam, by_msg, seeds, target, added, budget):
                 picked.append(d)
-                found = dfs(i + 1, target, picked)
+                found = dfs(i + 1, target, picked, refine(cells, dm))
                 if found is not None:
                     return found
                 picked.pop()
@@ -163,7 +179,7 @@ def min_mais_lower_bound(
 
     # t is a sound start: one user's t desired messages form an acyclic set
     for target in range(inst.t, inst.m + 1):
-        witness = dfs(0, target, [])
+        witness = dfs(0, target, [], cells0)
         if witness is not None:
             return target, witness
     raise AssertionError("no assignment found below the trivial bound")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bounds import DEFAULT_MAIS_NODE_CAP, best_chain_bound, full_report
 from .coding import LinearCode, is_prime
-from .errors import PicodError
+from .errors import CapExceeded, PicodError
 from .hypergraph import (
     DEFAULT_NODE_CAP,
     circular_arc_scheme_with_trace,
@@ -70,7 +70,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _load_instance(args: argparse.Namespace) -> Instance:
     if getattr(args, "instance", None):
-        return instance_from_json(Path(args.instance).read_text())
+        inst = instance_from_json(Path(args.instance).read_text())
+        if inst.n > args.cap_users:
+            raise CapExceeded("instance user count", inst.n, args.cap_users)
+        return inst
     if args.m is None or args.t is None or args.sizes is None:
         raise ValueError("provide --instance or all of -m, -t and -S")
     return build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
@@ -180,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--instance", help="path to an instance JSON file")
     source.add_argument(
         "--cap-users", type=_positive_arg, default=DEFAULT_USER_CAP,
-        help="refuse to build instances with more users than this",
+        help="refuse to build or load instances with more users than this",
     )
 
     parser = argparse.ArgumentParser(

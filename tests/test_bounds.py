@@ -33,6 +33,7 @@ from picod.instance import (
     assignment_count,
     build_complete_s,
     enumerate_assignments,
+    is_complete_s,
     user_choices,
     validate_assignment,
 )
@@ -42,6 +43,18 @@ from util import brute_mais, brute_min_mais, random_assignment, random_instance,
 
 def one_assignment(inst, rng):
     return tuple(frozenset(rng.choice(user_choices(inst, i))) for i in range(inst.n))
+
+
+# Every complete-S profile with m <= 4 and t <= 2 except m=4 t=1 S={1,2,3},
+# whose 5184 assignments take the brute-force oracle about 7 s.
+SMALL_COMPLETE_PROFILES = [
+    (m, t, set(sizes))
+    for m in range(1, 5)
+    for t in range(1, min(m, 2) + 1)
+    for r in range(1, m - t + 2)
+    for sizes in itertools.combinations(range(m - t + 1), r)
+    if (m, t, sizes) != (4, 1, (1, 2, 3))
+]
 
 
 def small_random_instance(seed):
@@ -170,7 +183,8 @@ class TestMinMais:
         [(3, 1, {1}), (4, 1, {0, 2}), (4, 1, {1, 3}), (3, 2, {0, 1})],
     )
     def test_symmetry_pinning_changes_nothing(self, m, t, sizes):
-        # complete-S, so user 0 is pinned; the value is still the minimum
+        # complete-S, so the scan tries one choice per stabilizer orbit; at
+        # depth 0 that is user 0's first choice, and the value is still the minimum
         inst = build_complete_s(m, t, sizes)
         got, witness = min_mais_lower_bound(inst)
         assert got == brute_min_mais(inst, enumerate_assignments(inst))
@@ -185,6 +199,41 @@ class TestMinMais:
         got, witness = min_mais_lower_bound(inst)
         assert got == 1
         assert brute_mais(inst, witness) == 1
+
+    def test_no_orbit_rule_one_user_short(self):
+        # the size-2 layer lacks {1, 3}, so not complete-S; with the orbit
+        # rule applied anyway the scan would find 3 instead of 2
+        users = build_complete_s(4, 1, {0, 2}).users
+        assert users[5] == {1, 3}
+        inst = Instance(4, 1, users[:5] + users[6:])
+        assert not is_complete_s(inst)
+        scored = [(brute_mais(inst, d), d) for d in enumerate_assignments(inst)]
+        low = min(v for v, _ in scored)
+        assert min_mais_lower_bound(inst) == (low, next(d for v, d in scored if v == low))
+
+    @pytest.mark.parametrize("m,t,sizes", SMALL_COMPLETE_PROFILES)
+    def test_witness_is_first_brute_force_minimizer(self, m, t, sizes):
+        # in build order, reversed and shuffled, so user 0 is not always in
+        # the lowest layer; every order enumerates the same assignments
+        built = build_complete_s(m, t, sizes)
+        score = {d: brute_mais(built, d) for d in enumerate_assignments(built)}
+        low = min(score.values())
+        order = list(range(built.n))
+        shuffled = order[:]
+        seeded(100 * m + 10 * t + len(sizes)).shuffle(shuffled)
+        for perm in (order, order[::-1], shuffled):
+            inst = Instance(m, t, tuple(built.users[p] for p in perm))
+            first = next(
+                d for d in enumerate_assignments(inst)
+                if score[tuple(x for _, x in sorted(zip(perm, d)))] == low
+            )
+            assert min_mais_lower_bound(inst) == (low, first), perm
+
+    def test_orbit_rule_prunes(self):
+        # without the orbit rule (user 0 pinned only) this search pops
+        # 3,329,140 sets; with it, 233,699
+        inst = build_complete_s(5, 1, {0, 1, 2, 3})
+        assert min_mais_lower_bound(inst, node_cap=10**6)[0] == 4
 
     def test_node_cap_overflow(self):
         inst = build_complete_s(5, 1, {0, 1, 2, 3, 4})

@@ -192,6 +192,26 @@ class TestReport:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [
+        ["report"], ["verify", "--code", "code.json"], ["hypergraph", "topology"],
+    ])
+    def test_instance_file_over_user_cap(self, capsys, tmp_path, command):
+        target = tmp_path / "inst.json"
+        target.write_text(instance_to_json(build_complete_s(5, 1, {2})))
+        (tmp_path / "code.json").write_text('{"q": 2, "rows": [[1, 1, 1, 1, 1]]}')
+        command = [str(tmp_path / c) if c.endswith(".json") else c for c in command]
+        rc, out, err = run_cli(
+            capsys, *command, "--instance", str(target), "--cap-users", "9"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "10 exceeds cap 9" in err
+        rc, _, _ = run_cli(
+            capsys, *command, "--instance", str(target), "--cap-users", "10"
+        )
+        assert rc in (0, 1)
+
     def test_missing_instance_file(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "report", "--instance", str(tmp_path / "nope.json")

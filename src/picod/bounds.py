@@ -437,7 +437,6 @@ def full_report(
     if not inst.users or not is_complete_s(inst):
         raise ValueError("instance is not complete for any size profile")
     prof = SizeProfile(frozenset(len(a) for a in inst.users))
-    # also rejects t outside [1, m] and sizes above m - t
     closed = closed_form_length(inst.m, inst.t, prof)
     code = build_partition_scheme(optimal_partition(inst.m, inst.t, prof), q)
     if not is_valid(code, inst).valid:

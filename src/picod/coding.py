@@ -133,7 +133,7 @@ class LinearCode:
         return cls(_json_field(obj, "q"), width, rows)
 
 
-def unit_rows(count: int, m: int, q: int) -> list[list[int]]:
+def unit_rows(count: int, m: int) -> list[list[int]]:
     """The first `count` unit vectors of length m."""
     if count > m:
         raise ValueError(f"{count} unit rows requested, only {m} columns")
@@ -256,7 +256,7 @@ def build_partition_scheme(plan: PartitionPlan, q: int | None = None) -> LinearC
     rows: list[tuple[int, ...]] = []
     for part in plan.parts:
         if part.strategy == UNCODED:
-            rows.extend(tuple(r) for r in unit_rows(part.sizes[-1] + t, m, q))
+            rows.extend(tuple(r) for r in unit_rows(part.sizes[-1] + t, m))
         elif part.strategy == MDS:
             rows.extend(mds_rows(m - part.sizes[0], m, q))
         else:

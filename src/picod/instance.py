@@ -2,10 +2,11 @@
 
 An instance has m messages and n users.  User i holds the messages in its
 side-information set A_i and is happy once it can decode any t messages it
-does not hold.  Message indices are 0-based internally and 1-based in the
-JSON wire format.  The helpers at the bottom of this module convert
-instances and assignments; verifier, hypergraph, bounds and cli convert
-the outputs they serialize themselves.
+does not hold.  `Instance` checks this premise once, when it is built, and
+the other modules trust it.  Message indices are 0-based internally and
+1-based in the JSON wire format.  The helpers at the bottom of this module
+convert instances and assignments; verifier, hypergraph, bounds and cli
+convert the outputs they serialize themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import CapExceeded
 
@@ -81,11 +82,32 @@ def _as_sizes(profile: SizeProfile | Iterable[int]) -> SizeProfile:
 
 @dataclass(frozen=True)
 class Instance:
-    """m messages, t demands, and one side-information set per user."""
+    """m messages, t demands, one side-information set per user; valid by
+    construction (1 <= t <= m, A_i within range(m), |A_i| <= m - t)."""
 
     m: int
     t: int
     users: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        m, t = self.m, self.t
+        if m < 1:
+            _invalid("instance", f"m must be >= 1, got {m}")
+        if t < 1:
+            _invalid("instance", f"t must be >= 1, got {t}")
+        if t > m:
+            _invalid("instance", f"t={t} exceeds m={m}")
+        # C-level set operations, since this runs on every complete-S build,
+        # and no set of size m, since m may come from an input file
+        held = frozenset().union(*self.users)
+        stray = held and (min(held) < 0 or max(held) >= m)
+        if stray or max(map(len, self.users), default=0) > m - t:
+            for i, a in enumerate(self.users, 1):  # name the first bad user
+                if any(x < 0 or x >= m for x in a):
+                    _invalid(f"user {i}", "side information outside message range")
+                if len(a) > m - t:
+                    size = f"side information of size {len(a)}"
+                    _invalid(f"user {i}", f"{size} leaves fewer than t={t} new messages")
 
     @property
     def n(self) -> int:
@@ -98,33 +120,8 @@ class Instance:
         return tuple(sum(1 << x for x in a) for a in self.users)
 
 
-@dataclass(frozen=True)
-class InstanceViolation:
-    """First structural problem found in an instance, if any."""
-
-    user: int | None
-    reason: str
-
-
-def validate_instance(inst: Instance) -> InstanceViolation | None:
-    """Return None for a well-formed instance, else the first violation.
-
-    The reported user index is 0-based; serialization shifts it.
-    """
-    if inst.m < 1:
-        return InstanceViolation(None, f"m must be >= 1, got {inst.m}")
-    if inst.t < 1:
-        return InstanceViolation(None, f"t must be >= 1, got {inst.t}")
-    if inst.t > inst.m:
-        return InstanceViolation(None, f"t={inst.t} exceeds m={inst.m}")
-    for i, a in enumerate(inst.users):
-        if any(x < 0 or x >= inst.m for x in a):
-            return InstanceViolation(i, "side information outside message range")
-        if len(a) > inst.m - inst.t:
-            return InstanceViolation(
-                i, f"side information of size {len(a)} leaves fewer than t={inst.t} new messages"
-            )
-    return None
+def _invalid(where: str, reason: str) -> NoReturn:
+    raise ValueError(f"invalid instance ({where}): {reason}")
 
 
 def build_complete_s(
@@ -158,8 +155,7 @@ def is_complete_s(inst: Instance) -> bool:
     """Is inst complete-S for S = its users' sizes, in any user order?  Distinct
     subsets of range(m) fill their layers exactly when sum C(m, s) = n."""
     layers = sum(math.comb(inst.m, s) for s in {len(a) for a in inst.users})
-    in_range = all(0 <= x < inst.m for a in inst.users for x in a)
-    return in_range and len(set(inst.users)) == inst.n == layers
+    return len(set(inst.users)) == inst.n == layers
 
 
 def assignment_count(inst: Instance) -> int:
@@ -237,16 +233,11 @@ def instance_from_json(text: str) -> Instance:
     for i, a in enumerate(users):
         if len(set(a)) != len(a):
             raise ValueError(f"field 'users': user {i + 1} lists a message twice")
-    inst = Instance(
+    return Instance(
         _json_field(obj, "m"),
         _json_field(obj, "t"),
         tuple(frozenset(x - 1 for x in a) for a in users),
     )
-    bad = validate_instance(inst)
-    if bad is not None:
-        where = "instance" if bad.user is None else f"user {bad.user + 1}"
-        raise ValueError(f"invalid instance ({where}): {bad.reason}")
-    return inst
 
 
 def assignment_to_lists(assignment: Assignment) -> list[list[int]]:

@@ -169,18 +169,6 @@ def _witness(masks: Sequence[int], ground: int) -> tuple[int, ...]:
     return tuple(sorted({i} | {chosen[p] for p in sub_p}))
 
 
-def brute_intersection_family_witness(
-    blocks: Sequence[frozenset[int]], ground_size: int
-) -> tuple[int, ...] | None:
-    """Smallest witness by exhaustive search over nonempty index sets."""
-    idx = range(len(blocks))
-    for size in range(1, len(blocks) + 1):
-        for picked in itertools.combinations(idx, size):
-            if verify_intersection_witness(blocks, picked):
-                return picked
-    return None
-
-
 @dataclass(frozen=True)
 class SweepSummary:
     ground_size: int

@@ -7,6 +7,9 @@ adding it as side information leaves the span, and what it decodes, unchanged.
 A column outside the code's support is all zero: it is never a pivot, so
 never decoded, and dropping it from K leaves the projected row space as it
 is.  Users with the same `known & support` thus share one elimination.
+
+An `Instance` is valid by construction, so only `decodable_closure`, which
+takes any `known`, range-checks its argument.
 """
 
 from __future__ import annotations
@@ -64,12 +67,6 @@ class DecodabilityReport:
         return json.dumps(obj, indent=2 if pretty else None)
 
 
-def _check_range(inst: Instance) -> None:
-    """decodable_closure's range check, for users whose pattern is memoized."""
-    if any(x < 0 or x >= inst.m for a in inst.users for x in a):
-        raise ValueError("known message outside column range")
-
-
 def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
     """Each user's decoded set, one elimination per `known & support`."""
     support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
@@ -93,7 +90,6 @@ def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     """
     if code.m != inst.m:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
-    _check_range(inst)
     per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
     return DecodabilityReport(inst.t, valid, per_user)
@@ -164,7 +160,6 @@ def min_linear_length_exhaustive(
     """
     if ell_max is None:
         ell_max = inst.m
-    _check_range(inst)
     for ell in range(0, min(ell_max, inst.m) + 1):
         count = gaussian_binomial(inst.m, ell, q)
         if count > space_cap:

@@ -38,7 +38,9 @@ from picod.instance import (
     validate_assignment,
 )
 from picod.verifier import is_valid
-from util import brute_mais, brute_min_mais, random_assignment, random_instance, seeded
+from util import (
+    brute_code_valid, brute_mais, brute_min_mais, random_assignment, random_instance, seeded,
+)
 
 
 def one_assignment(inst, rng):
@@ -285,10 +287,10 @@ class TestWideInputs:
 
 class TestKnownGaps:
     """Two small instances where the assignment-minimized acyclic bound
-    provably stops short of the optimal length: an adversarial assignment
-    pairs messages into mutually blocking 2-cycles and funnels every
-    remaining user onto a single message.  The optimum is still achieved
-    and certified by the scheme, the generic lower bound just is not tight.
+    stops short of the partition scheme: an adversarial assignment pairs
+    messages into mutually blocking 2-cycles and funnels every remaining
+    user onto a single message.  The gap is the scheme's, not the bound's:
+    TestShorterThanPartition verifies codes of the bound's length.
     """
 
     def test_four_messages_odd_layers(self):
@@ -319,6 +321,24 @@ class TestKnownGaps:
                             assert val == cost - 1
                         else:
                             assert val == cost, (m, t, sorted(sizes))
+
+
+class TestShorterThanPartition:
+    """Send the sum of each message pair, and any unpaired message uncoded.
+    A t = 1 user decodes something unless it holds whole pairs and the
+    unpaired message, a set of m's parity; sizes of the other parity rule
+    that out.  On the two known gaps this code has the acyclic bound's
+    length, so the bound is the optimum there."""
+
+    @pytest.mark.parametrize("m,sizes,rows", [
+        (4, {1, 3}, ((1, 0, 0, 1), (0, 1, 1, 0))),
+        (5, {0, 2, 4}, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0))),
+    ])
+    def test_pairing_code_meets_the_bound(self, m, sizes, rows):
+        inst = build_complete_s(m, 1, sizes)
+        assert brute_code_valid(2, rows, inst)
+        assert len(rows) == min_mais_lower_bound(inst)[0]
+        assert len(rows) == optimal_partition(m, 1, sizes).total_cost - 1
 
 
 class TestCriticalInstances:

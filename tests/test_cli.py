@@ -330,6 +330,28 @@ class TestMalformedJson:
         self._assert_one_line_error(rc, out, err, "rows")
 
 
+class TestInvalidInstance:
+    """A well-shaped file that breaks PICOD(t) exits 2 with one exact line."""
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"m": 0, "t": 1, "users": []}', "(instance): m must be >= 1, got 0"),
+        ('{"m": 2, "t": 0, "users": []}', "(instance): t must be >= 1, got 0"),
+        ('{"m": 2, "t": 3, "users": []}', "(instance): t=3 exceeds m=2"),
+        ('{"m": 3, "t": 1, "users": [[1], [4]]}',
+         "(user 2): side information outside message range"),
+        # messages are 1-based on the wire, so 0 becomes -1
+        ('{"m": 3, "t": 1, "users": [[1], [0]]}',
+         "(user 2): side information outside message range"),
+        ('{"m": 3, "t": 2, "users": [[1], [1, 2]]}',
+         "(user 2): side information of size 2 leaves fewer than t=2 new messages"),
+    ])
+    def test_exact_error_line(self, capsys, tmp_path, text, reason):
+        target = tmp_path / "inst.json"
+        target.write_text(text)
+        rc, out, err = run_cli(capsys, "hypergraph", "topology", "--instance", str(target))
+        assert (rc, out, err) == (2, "", f"error: invalid instance {reason}\n")
+
+
 class TestHypergraphCommands:
     def test_topology(self, capsys):
         rc, out, _ = run_cli(

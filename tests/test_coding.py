@@ -132,9 +132,9 @@ class TestLinearCode:
 
 class TestMatrixBuilders:
     def test_unit_rows(self):
-        assert unit_rows(2, 3, 2) == [[1, 0, 0], [0, 1, 0]]
+        assert unit_rows(2, 3) == [[1, 0, 0], [0, 1, 0]]
         with pytest.raises(ValueError):
-            unit_rows(4, 3, 2)
+            unit_rows(4, 3)
 
     @pytest.mark.parametrize("q,m", [(5, 4), (5, 5), (7, 6), (3, 3)])
     def test_mds_every_minor_invertible(self, q, m):
@@ -232,14 +232,14 @@ class TestSchemeAssembly:
         code = build_partition_scheme(plan)
         assert code.q == 5
         assert code.ell == 4
-        assert code.rows[:3] == tuple(tuple(r) for r in unit_rows(3, 5, 5))
+        assert code.rows[:3] == tuple(tuple(r) for r in unit_rows(3, 5))
         assert code.rows[3] == (1, 1, 1, 1, 1)
 
     def test_uncoded_only_over_gf2(self):
         plan = optimal_partition(4, 1, {0, 1})
         code = build_partition_scheme(plan)
         assert code.q == 2
-        assert code.rows == tuple(tuple(r) for r in unit_rows(2, 4, 2))
+        assert code.rows == tuple(tuple(r) for r in unit_rows(2, 4))
 
     def test_explicit_field_respected(self):
         plan = optimal_partition(5, 1, {0, 2, 4})

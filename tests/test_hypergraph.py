@@ -234,10 +234,10 @@ class TestSchemePreconditions:
             circular_arc_scheme(inst, ())
 
     def test_every_user_must_miss_something(self):
-        # constructible but invalid instance: the lone user holds everything
-        inst = Instance(m=2, t=1, users=(frozenset({0, 1}),))
-        with pytest.raises(ValueError):
-            circular_arc_scheme(inst, (0,))
+        # a lone user holding everything is not a PICOD(1) instance at all,
+        # so the scheme needs no coverage check of its own
+        with pytest.raises(ValueError, match=r"\(user 1\): side information of size 2"):
+            Instance(m=2, t=1, users=(frozenset({0, 1}),))
 
     def test_edges_must_be_arcs(self):
         inst = arc_instance(4, [frozenset({0, 2}), frozenset({1, 3})])

@@ -1,6 +1,7 @@
 """Instance construction, validation, enumeration, and serialization."""
 
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -18,7 +19,6 @@ from picod.instance import (
     is_complete_s,
     user_choices,
     validate_assignment,
-    validate_instance,
 )
 from util import random_instance, seeded
 
@@ -101,29 +101,44 @@ class TestIsCompleteS:
     def test_missing_or_stray_users(self):
         users = build_complete_s(3, 1, {1}).users
         assert not is_complete_s(Instance(3, 1, users[:-1]))
-        assert not is_complete_s(Instance(3, 1, users[:-1] + (frozenset({3}),)))
+        # a stray message outside range(m) cannot even be built
+        with pytest.raises(ValueError, match=r"\(user 3\): side information outside"):
+            Instance(3, 1, users[:-1] + (frozenset({3}),))
         assert not is_complete_s(Instance(3, 1, users + (frozenset({0, 1}),)))
 
 
 class TestValidation:
+    """Construction is the one place that checks the PICOD(t) premise."""
+
     def test_accepts_duplicates_and_empty(self):
         inst = Instance(m=3, t=1, users=(frozenset(), frozenset(), frozenset({0, 1})))
-        assert validate_instance(inst) is None
+        assert inst.n == 3
 
     def test_rejects_overfull_side_information(self):
-        inst = Instance(m=3, t=2, users=(frozenset({0, 1}),))
-        bad = validate_instance(inst)
-        assert bad is not None and bad.user == 0
+        with pytest.raises(ValueError, match=r"^invalid instance \(user 1\): side information of size 2"):
+            Instance(m=3, t=2, users=(frozenset({0, 1}),))
 
     def test_rejects_out_of_range_member(self):
-        inst = Instance(m=3, t=1, users=(frozenset({3}),))
-        bad = validate_instance(inst)
-        assert bad is not None and bad.user == 0
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match=r"^invalid instance \(user 2\): side information outside"):
+                Instance(m=3, t=1, users=(frozenset(), frozenset({bad})))
 
     def test_rejects_bad_parameters(self):
-        assert validate_instance(Instance(m=0, t=1, users=())) is not None
-        assert validate_instance(Instance(m=2, t=0, users=())) is not None
-        assert validate_instance(Instance(m=2, t=3, users=())) is not None
+        for m, t in ((0, 1), (2, 0), (2, 3)):
+            with pytest.raises(ValueError, match=r"^invalid instance \(instance\): "):
+                Instance(m=m, t=t, users=())
+
+    def test_check_allocates_nothing_of_size_m(self):
+        # m may come from an input file; a ground set of m messages would
+        # take tens of megabytes here
+        m = 10**6
+        tracemalloc.start()
+        try:
+            Instance(m=m, t=1, users=(frozenset({0, m - 1}),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestAssignments:

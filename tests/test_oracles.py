@@ -12,7 +12,6 @@ from picod.oracles import (
     BlockCover,
     SweepSummary,
     block_cover_impossibility,
-    brute_intersection_family_witness,
     check_block_cover,
     averaging_pair,
     intersection_family_witness,
@@ -192,7 +191,7 @@ class TestIntersectionFamilyWitness:
         for _ in range(200):
             blocks = [rng.choice(pool) for _ in range(5)]
             witness = intersection_family_witness(blocks, 4)
-            shortest = brute_intersection_family_witness(blocks, 4)
+            shortest = brute_family_witness(blocks, 4)
             assert shortest is not None
             assert verify_intersection_witness(blocks, witness)
             assert len(shortest) <= len(witness)
@@ -216,7 +215,7 @@ class TestSweep:
         for family in itertools.product(all_nonempty_subsets(s), repeat=s + 1):
             families += 1
             keys.add(tuple(sorted(tuple(sorted(b)) for b in family)))
-            if brute_intersection_family_witness(list(family), s) is None:
+            if brute_family_witness(list(family), s) is None:
                 failures += 1
         assert failures == 0
         assert sweep_intersection_families(s) == SweepSummary(s, families, len(keys), 0)

@@ -113,12 +113,10 @@ class TestIsValid:
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_known_outside_range_rejected_for_every_user(self, bad):
-        # user 1 shares user 0's pattern on the support column, so only a
-        # check over all users can see its out-of-range message
-        inst = Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
-        code = LinearCode(2, 3, ((0, 1, 0),))
-        with pytest.raises(ValueError, match="known message outside column range"):
-            is_valid(code, inst)
+        # user 1 would share user 0's pattern on the support column, so the
+        # memo never looks at its stray message: construction refuses it
+        with pytest.raises(ValueError, match=r"invalid instance \(user 2\): side information outside"):
+            Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
 
     def test_shared_patterns_match_enumeration(self):
         # zero columns make users with different side information share a
@@ -239,11 +237,11 @@ class TestMinLinearLength:
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_known_outside_range_rejected(self, bad):
-        # user 1 shares user 0's pattern on every one-row code that satisfies
-        # user 0, so only a check before the search can see its stray message
-        inst = Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
-        with pytest.raises(ValueError, match="known message outside column range"):
-            min_linear_length_exhaustive(inst, q=2)
+        # user 1 would share user 0's pattern on every one-row code that
+        # satisfies user 0, so the search never sees its stray message:
+        # construction refuses it
+        with pytest.raises(ValueError, match=r"invalid instance \(user 2\): side information outside"):
+            Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
 
     def test_space_cap(self):
         inst = Instance(m=25, t=1, users=(frozenset(),))

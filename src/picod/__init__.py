@@ -16,7 +16,6 @@ from .bounds import (
     mais,
     min_mais_lower_bound,
     small_m_table_rows,
-    unicast_expansion,
 )
 from .coding import (
     LinearCode,
@@ -39,7 +38,6 @@ from .errors import (
 from .hypergraph import (
     CircularArcTrace,
     Hypergraph,
-    circular_arc_scheme,
     circular_arc_scheme_with_trace,
     dual,
     has_one_factor,
@@ -50,9 +48,7 @@ from .hypergraph import (
 from .instance import (
     Instance,
     SizeProfile,
-    assignment_count,
     build_complete_s,
-    enumerate_assignments,
     instance_from_json,
     instance_to_json,
     validate_assignment,
@@ -91,21 +87,18 @@ __all__ = [
     "PicodError",
     "SearchOverflow",
     "SizeProfile",
-    "assignment_count",
     "best_chain_bound",
     "block_cover_impossibility",
     "build_complete_s",
     "build_partition_scheme",
     "chain_bound",
     "check_block_cover",
-    "circular_arc_scheme",
     "circular_arc_scheme_with_trace",
     "closed_form_length",
     "averaging_pair",
     "decodable_closure",
     "default_field",
     "dual",
-    "enumerate_assignments",
     "full_report",
     "has_one_factor",
     "induced_assignment",
@@ -125,7 +118,6 @@ __all__ = [
     "small_m_table_rows",
     "smallest_prime_at_least",
     "sweep_intersection_families",
-    "unicast_expansion",
     "unit_rows",
     "validate_assignment",
     "verify_circular_arc",

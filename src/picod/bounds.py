@@ -43,12 +43,6 @@ DEFAULT_MAIS_NODE_CAP = 5 * 10**6
 DEFAULT_EXACT_CHAIN_LIMIT = 12
 
 
-def unicast_expansion(inst: Instance, assignment: Assignment) -> tuple[tuple[frozenset[int], int], ...]:
-    """Split every user into t single-demand users, one per desired message."""
-    validate_assignment(inst, assignment)
-    return tuple((a, d) for a, ds in zip(inst.users, assignment) for d in sorted(ds))
-
-
 def _close(
     fam: set[int], by_msg: dict[int, list[int]], todo: list[int], limit: int, added: list[int],
     budget: list[int],

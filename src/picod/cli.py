@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=_prime_arg, help="prime field size, default 2")
     p.add_argument(
         "--cap-nodes", type=_positive_arg, default=DEFAULT_NODE_CAP,
-        help="budget for the one-factor precheck",
+        help="node budget of the one-factor precheck; exceeding it is an error (exit 2)",
     )
     p.add_argument("--trace", action="store_true", help="include the construction trace")
     p.set_defaults(func=cmd_circular_arc)

@@ -6,6 +6,10 @@ labels covering every vertex exactly once (a 1-factor) yields a single
 coded transmission satisfying everyone with t = 1; when every edge is a
 contiguous arc under some cyclic order of the users, two transmissions
 always suffice.
+
+Vertices, edges and factors are frozensets and label tuples in the public
+types; below them every vertex set, and every set of positions along a
+cyclic order, is an int bitmask.
 """
 
 from __future__ import annotations
@@ -39,14 +43,6 @@ class Hypergraph:
         }
         return json.dumps(obj, indent=2 if pretty else None)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        obj = json.loads(text)
-        return cls(
-            int(obj["n"]),
-            tuple(frozenset(int(v) - 1 for v in e) for e in obj["edges"]),
-        )
-
 
 def network_topology(inst: Instance) -> Hypergraph:
     """Edge j = the users that do not hold message j."""
@@ -73,37 +69,38 @@ def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int
     usable edges.  Raises SearchOverflow when the node budget runs out, which
     is different from a proven None.
     """
-    labeled = [(j, e) for j, e in enumerate(h.edges) if e]
-    uncovered = set(range(h.n_vertices))
+    labeled = [(j, sum(1 << v for v in e)) for j, e in enumerate(h.edges) if e]
     chosen: list[int] = []
     budget = node_cap
 
-    def search() -> tuple[int, ...] | None:
+    def search(uncovered: int) -> tuple[int, ...] | None:
         nonlocal budget
         if not uncovered:
             return tuple(sorted(chosen))
         if budget <= 0:
             raise SearchOverflow(f"1-factor search exceeded {node_cap} nodes")
         budget -= 1
-        options: list[tuple[int, frozenset[int]]] | None = None
-        for v in sorted(uncovered):
-            mine = [(j, e) for j, e in labeled if v in e and e <= uncovered]
+        usable = [(j, e) for j, e in labeled if not e & ~uncovered]
+        options: list[tuple[int, int]] | None = None
+        rest = uncovered
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            mine = [(j, e) for j, e in usable if e & v]
             if options is None or len(mine) < len(options):
                 options = mine
                 if not mine:
                     break
         assert options is not None
         for j, e in options:
-            uncovered.difference_update(e)
             chosen.append(j)
-            found = search()
+            found = search(uncovered & ~e)
             if found is not None:
                 return found
             chosen.pop()
-            uncovered.update(e)
         return None
 
-    return search()
+    return search((1 << h.n_vertices) - 1)
 
 
 def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> LinearCode:
@@ -136,33 +133,38 @@ def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> L
 # ---------- circular-arc structure ----------
 
 
+def _position_masks(h: Hypergraph, order: Sequence[int]) -> list[int]:
+    """Each edge as the bitmask of its vertices' positions along the order."""
+    if sorted(order) != list(range(h.n_vertices)):
+        raise ValueError("order is not a permutation of the vertices")
+    bit = [0] * h.n_vertices
+    for k, v in enumerate(order):
+        bit[v] = 1 << k
+    return [sum(bit[v] for v in e) for e in h.edges]
+
+
+def _runs(mask: int, n: int) -> list[tuple[int, int]]:
+    """(start, length) of each maximal cyclic run of set bits among n
+    positions, by start.  A run starts at a set bit whose cyclic predecessor
+    is clear; a full mask has no such bit and is one run from 0."""
+    full = (1 << n) - 1
+    if not mask:
+        return []
+    if mask == full:
+        return [(0, n)]
+    starts = mask & ~((mask << 1 | mask >> (n - 1)) & full)
+    runs = []
+    while starts:
+        s = (starts & -starts).bit_length() - 1
+        starts &= starts - 1
+        r = (mask >> s | mask << (n - s)) & full  # the run rotated to bit 0
+        runs.append((s, (r ^ (r + 1)).bit_length() - 1))
+    return runs
+
+
 def verify_circular_arc(h: Hypergraph, order: Sequence[int]) -> bool:
     """Is every edge a contiguous run of the given cyclic vertex order?"""
-    n = h.n_vertices
-    if sorted(order) != list(range(n)):
-        raise ValueError("order is not a permutation of the vertices")
-    pos = {v: k for k, v in enumerate(order)}
-    for e in h.edges:
-        ps = sorted(pos[v] for v in e)
-        if len(ps) <= 1:
-            continue
-        breaks = sum(1 for a, b in zip(ps, ps[1:]) if b - a > 1)
-        if ps[0] + n - ps[-1] > 1:
-            breaks += 1
-        if breaks > 1:
-            return False
-    return True
-
-
-def _arc_span(positions: frozenset[int], n: int) -> tuple[int, int]:
-    """(start, length) of a contiguous cyclic run of positions."""
-    if len(positions) == n:
-        return 0, n
-    ps = sorted(positions)
-    for k, (a, b) in enumerate(zip(ps, ps[1:])):
-        if b - a > 1:
-            return ps[k + 1], len(ps)
-    return ps[0], len(ps)
+    return all(len(_runs(e, h.n_vertices)) <= 1 for e in _position_masks(h, order))
 
 
 @dataclass
@@ -184,43 +186,23 @@ class CircularArcTrace:
         return json.dumps(obj, indent=2 if pretty else None)
 
 
-def _uncovered_runs(counts: list[int]) -> list[list[int]]:
-    """Maximal cyclic runs of positions no selected arc covers."""
-    n = len(counts)
-    zero = {p for p in range(n) if counts[p] == 0}
-    assert len(zero) < n, "selected arcs cover nothing"
-    runs: list[list[int]] = []
-    for s in sorted(zero):
-        if (s - 1) % n in zero:
-            continue
-        run = [s]
-        p = (s + 1) % n
-        while p in zero:
-            run.append(p)
-            p = (p + 1) % n
-        runs.append(run)
-    return runs
-
-
-def _drop_dominated(arcs: dict[int, frozenset[int]]) -> tuple[dict[int, frozenset[int]], list[int]]:
+def _drop_dominated(arcs: dict[int, int]) -> tuple[dict[int, int], list[int]]:
     """Remove edges lying inside the union of the others, lowest label first,
-    until every survivor keeps a private vertex."""
+    until every survivor keeps a private position."""
     arcs = dict(arcs)
     dropped: list[int] = []
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for label in sorted(arcs):
-            others: set[int] = set()
+            others = 0
             for other, e in arcs.items():
                 if other != label:
                     others |= e
-            if arcs[label] <= others:
+            if not arcs[label] & ~others:
                 del arcs[label]
                 dropped.append(label)
-                changed = True
                 break
-    return arcs, dropped
+        else:
+            return arcs, dropped
 
 
 def circular_arc_scheme_with_trace(
@@ -231,38 +213,31 @@ def circular_arc_scheme_with_trace(
 ) -> tuple[LinearCode, CircularArcTrace]:
     """At most two transmissions for a circular-arc topology with t = 1.
 
-    A 1-factor, when one exists, gives a single row.  Otherwise: drop
-    dominated edges, greedily walk the cycle selecting an edge at each
-    position where one starts (longest arc first, then lowest label), and
-    send the sum of the selected messages; a second row sums one covering
-    edge per leftover gap plus the first selected message.
+    A 1-factor, when one exists, gives a single row; a 1-factor search past
+    node_cap raises SearchOverflow.  Otherwise: drop dominated edges,
+    greedily walk the cycle selecting an edge at each position where one
+    starts (longest arc first, then lowest label), and send the sum of the
+    selected messages; a second row sums one covering edge per leftover gap
+    plus the first selected message.
     """
     if inst.t != 1:
         raise ValueError("the two-transmission construction needs t = 1")
     if inst.n == 0:
         raise ValueError("instance has no users")
     topo = network_topology(inst)
-    if not verify_circular_arc(topo, order):
+    n = inst.n
+    masks = _position_masks(topo, order)
+    if any(len(_runs(e, n)) > 1 for e in masks):
         raise ValueError("edges are not circular arcs under this order")
 
     trace = CircularArcTrace()
-    n = inst.n
-    pos = {v: k for k, v in enumerate(order)}
-
-    try:
-        factor = has_one_factor(topo, node_cap=node_cap)
-    except SearchOverflow:
-        factor = None
+    factor = has_one_factor(topo, node_cap=node_cap)
     if factor is not None:
         trace.factor = factor
         return one_transmission_code(topo, factor, q), trace
 
-    # position space: edge label -> set of positions along the cycle
-    arcs = {
-        j: frozenset(pos[v] for v in e) for j, e in enumerate(topo.edges) if e
-    }
-    arcs, trace.dropped = _drop_dominated(arcs)
-    spans = {j: _arc_span(e, n) for j, e in arcs.items()}
+    arcs, trace.dropped = _drop_dominated({j: e for j, e in enumerate(masks) if e})
+    spans = {j: _runs(e, n)[0] for j, e in arcs.items()}
 
     selected: list[int] = []
     i = 0
@@ -281,23 +256,23 @@ def circular_arc_scheme_with_trace(
         i = i + spans[pick][1] if i + spans[pick][1] <= n else n
     assert selected, "no edge starts anywhere, yet vertices are covered"
 
-    counts = [0] * n
-    for j in selected:
-        for p in arcs[j]:
-            counts[p] += 1
-
     chosen = set(selected)
     rows = [tuple(1 if j in chosen else 0 for j in range(inst.m))]
 
-    if any(c != 1 for c in counts):
+    full = (1 << n) - 1
+    covered = 0
+    for j in selected:
+        covered |= arcs[j]
+    if covered != full or sum(spans[j][1] for j in selected) != n:
         covers: list[int] = []
-        for run in _uncovered_runs(counts):
-            run_set = set(run)
-            candidates = sorted(j for j, e in arcs.items() if run_set <= e)
-            assert candidates, f"uncovered run {run} has no covering edge"
-            covers.append(candidates[0])
+        for s, length in _runs(full & ~covered, n):
+            gap = [(s + k) % n for k in range(length)]
+            run = sum(1 << p for p in gap)
+            candidates = [j for j, e in arcs.items() if not run & ~e]
+            assert candidates, f"uncovered run {gap} has no covering edge"
+            covers.append(min(candidates))
             trace.gap_covers.append(
-                {"gap_positions": [g + 1 for g in run], "label": candidates[0] + 1}
+                {"gap_positions": [g + 1 for g in gap], "label": covers[-1] + 1}
             )
         second = set(covers) | {selected[0]}
         assert len(second) == len(covers) + 1, "cover labels collide"
@@ -307,13 +282,3 @@ def circular_arc_scheme_with_trace(
     check = is_valid(code, inst)
     assert check.valid, "constructed rows fail verification"
     return code, trace
-
-
-def circular_arc_scheme(
-    inst: Instance,
-    order: Sequence[int],
-    q: int = 2,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> LinearCode:
-    code, _ = circular_arc_scheme_with_trace(inst, order, q, node_cap)
-    return code

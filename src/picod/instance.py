@@ -15,13 +15,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from typing import Iterable, Iterator, NoReturn
+from itertools import combinations
+from typing import Iterable, NoReturn
 
 from .errors import CapExceeded
 
 DEFAULT_USER_CAP = 10**6
-DEFAULT_ASSIGNMENT_CAP = 10**7
 
 # One decoding choice per user: a frozenset of t desired message indices,
 # disjoint from that user's side information.
@@ -158,30 +157,10 @@ def is_complete_s(inst: Instance) -> bool:
     return len(set(inst.users)) == inst.n == layers
 
 
-def assignment_count(inst: Instance) -> int:
-    """Number of full desired-set assignments of the instance."""
-    total = 1
-    for a in inst.users:
-        total *= math.comb(inst.m - len(a), inst.t)
-    return total
-
-
 def user_choices(inst: Instance, user: int) -> list[frozenset[int]]:
     """All t-subsets of messages outside one user's side information."""
     missing = sorted(set(range(inst.m)) - inst.users[user])
     return [frozenset(c) for c in combinations(missing, inst.t)]
-
-
-def enumerate_assignments(
-    inst: Instance, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> Iterator[Assignment]:
-    """Yield every assignment in lexicographic order, refusing huge spaces."""
-    count = assignment_count(inst)
-    if count > cap:
-        raise CapExceeded("assignment enumeration", count, cap)
-    per_user = [user_choices(inst, i) for i in range(inst.n)]
-    for combo in product(*per_user):
-        yield tuple(combo)
 
 
 def validate_assignment(inst: Instance, assignment: Assignment) -> None:

@@ -24,22 +24,20 @@ from picod.bounds import (
     mais,
     min_mais_lower_bound,
     small_m_table_rows,
-    unicast_expansion,
 )
 from picod.coding import LinearCode, optimal_partition
 from picod.errors import SearchOverflow
 from picod.instance import (
     Instance,
-    assignment_count,
     build_complete_s,
-    enumerate_assignments,
     is_complete_s,
     user_choices,
     validate_assignment,
 )
 from picod.verifier import is_valid
 from util import (
-    brute_code_valid, brute_mais, brute_min_mais, random_assignment, random_instance, seeded,
+    assignment_count, brute_code_valid, brute_mais, brute_min_mais, enumerate_assignments,
+    random_assignment, random_instance, seeded,
 )
 
 
@@ -67,22 +65,6 @@ def small_random_instance(seed):
         inst = random_instance(rng, m_max=5, n_max=6, t=rng.randint(1, 2))
         if assignment_count(inst) <= 2000:
             return inst
-
-
-class TestUnicastExpansion:
-    def test_splits_each_user(self):
-        inst = build_complete_s(4, 2, {1})
-        rng = seeded(31)
-        d = one_assignment(inst, rng)
-        entries = unicast_expansion(inst, d)
-        assert len(entries) == 2 * inst.n
-        for a, x in entries:
-            assert x not in a
-
-    def test_rejects_mismatched_assignment(self):
-        inst = build_complete_s(3, 1, {1})
-        with pytest.raises(ValueError):
-            unicast_expansion(inst, (frozenset({0}),))
 
 
 class TestMais:

@@ -404,6 +404,14 @@ class TestHypergraphCommands:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["one-factor"], ["circular-arc", "--trace"]])
+    def test_factor_search_overflow_exits_two(self, capsys, command):
+        # the factor [1, 2, 3] exists; a one-node budget must not hide it
+        rc, out, err = run_cli(
+            capsys, "hypergraph", *command, "-m", "3", "-t", "1", "-S", "2", "--cap-nodes", "1",
+        )
+        assert (rc, out, err) == (2, "", "error: 1-factor search exceeded 1 nodes\n")
+
     def test_circular_arc_larger_field(self, capsys):
         rc, out, _ = run_cli(
             capsys, "hypergraph", "circular-arc",

@@ -10,10 +10,8 @@ from picod.errors import CapExceeded
 from picod.instance import (
     Instance,
     SizeProfile,
-    assignment_count,
     assignment_to_lists,
     build_complete_s,
-    enumerate_assignments,
     instance_from_json,
     instance_to_json,
     is_complete_s,
@@ -142,29 +140,12 @@ class TestValidation:
 
 
 class TestAssignments:
-    def test_count_formula(self):
-        inst = build_complete_s(4, 1, {0, 2})
-        assert assignment_count(inst) == 4 * 2**6
-
-    def test_enumeration_matches_count(self):
-        inst = build_complete_s(3, 1, {0, 1})
-        seen = list(enumerate_assignments(inst))
-        assert len(seen) == assignment_count(inst) == 24
-        assert len(set(seen)) == 24
-        for d in seen:
-            validate_assignment(inst, d)
-
     def test_choices_avoid_side_information(self):
         inst = build_complete_s(4, 2, {1})
         for i in range(inst.n):
             for choice in user_choices(inst, i):
                 assert len(choice) == 2
                 assert not (choice & inst.users[i])
-
-    def test_enumeration_cap(self):
-        inst = build_complete_s(5, 1, {0, 1, 2, 3, 4})
-        with pytest.raises(CapExceeded):
-            next(enumerate_assignments(inst))
 
     def test_validate_assignment_rejections(self):
         inst = build_complete_s(3, 1, {1})

@@ -5,6 +5,7 @@ plain enumeration, so a test never validates a function against itself.
 """
 
 import itertools
+import math
 import random
 
 from picod.instance import Instance
@@ -89,7 +90,28 @@ def brute_min_linear_ell(inst, q, ell_max):
 
 
 # ---------------------------------------------------------------------------
-# acyclic-set brute force
+# assignments and acyclic-set brute force
+
+
+def assignment_count(inst):
+    """Number of ways every user can pick t messages it does not hold."""
+    return math.prod(math.comb(inst.m - len(a), inst.t) for a in inst.users)
+
+
+def enumerate_assignments(inst):
+    """Every assignment in lexicographic order: the last user's choice varies
+    fastest, and each user's t-subsets of the messages it lacks come in
+    ascending order."""
+    per_user = []
+    for a in inst.users:
+        lacking = [x for x in range(inst.m) if x not in a]
+        per_user.append([frozenset(c) for c in itertools.combinations(lacking, inst.t)])
+    return itertools.product(*per_user)
+
+
+def unicast_expansion(inst, assignment):
+    """One (side information, desired message) entry per desired message."""
+    return [(a, x) for a, d in zip(inst.users, assignment) for x in sorted(d)]
 
 
 def brute_mais(inst, assignment):
@@ -98,10 +120,7 @@ def brute_mais(inst, assignment):
     Builds the digraph explicitly for every candidate subset and checks
     acyclicity with Kahn's algorithm.
     """
-    entries = []
-    for a, d in zip(inst.users, assignment):
-        for x in sorted(d):
-            entries.append((a, x))
+    entries = unicast_expansion(inst, assignment)
     n = len(entries)
     # no subset larger than the number of distinct desired messages can work
     distinct = len({x for _, x in entries})
@@ -186,6 +205,22 @@ def brute_exact_cover(n_vertices, edges):
             if total == n_vertices and union == full:
                 return tuple(combo)
     return None
+
+
+# ---------------------------------------------------------------------------
+# circular-arc brute force
+
+
+def brute_is_arc(edge, order):
+    """Some rotation of the cyclic order puts the edge's vertices at
+    consecutive positions.  The empty edge counts as an arc."""
+    order = list(order)
+    for r in range(max(len(order), 1)):
+        rotated = order[r:] + order[:r]
+        pos = [k for k, v in enumerate(rotated) if v in edge]
+        if not pos or pos[-1] - pos[0] + 1 == len(pos):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from .instance import (
     Instance,
     SizeProfile,
     build_complete_s,
-    instance_from_json,
-    instance_to_json,
+    instance_from_wire,
+    instance_wire,
     validate_assignment,
 )
 from .oracles import (
@@ -102,8 +102,8 @@ __all__ = [
     "full_report",
     "has_one_factor",
     "induced_assignment",
-    "instance_from_json",
-    "instance_to_json",
+    "instance_from_wire",
+    "instance_wire",
     "intersection_family_witness",
     "is_valid",
     "mais",

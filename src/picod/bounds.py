@@ -21,7 +21,6 @@ that add a message x desired by an entry holding nothing of the set so far.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -395,8 +394,8 @@ class BoundReport:
                     f"closed form {v} outside [{self.lower_bound}, {self.achieved}]"
                 )
 
-    def to_json(self, pretty: bool = False) -> str:
-        obj = {
+    def wire(self) -> dict:
+        return {
             "m": self.m,
             "t": self.t,
             "S": list(self.sizes),
@@ -407,10 +406,9 @@ class BoundReport:
             "closed_form": None
             if self.closed_form is None
             else {"value": self.closed_form[0], "rule": self.closed_form[1]},
-            "witness_code": json.loads(self.witness_code.to_json()),
+            "witness_code": self.witness_code.wire(),
             "witness_assignment": assignment_to_lists(self.witness_assignment),
         }
-        return json.dumps(obj, indent=2 if pretty else None)
 
 
 def full_report(

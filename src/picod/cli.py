@@ -31,8 +31,8 @@ from .instance import (
     Instance,
     SizeProfile,
     build_complete_s,
-    instance_from_json,
-    instance_to_json,
+    instance_from_wire,
+    instance_wire,
 )
 from .oracles import (
     DEFAULT_COLLECTION_CAP,
@@ -61,7 +61,8 @@ def _order_arg(text: str) -> tuple[int, ...]:
     return tuple(int(x) - 1 for x in text.split(","))
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, obj: object) -> None:
+    text = json.dumps(obj, indent=2 if args.pretty else None)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -70,7 +71,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _load_instance(args: argparse.Namespace) -> Instance:
     if getattr(args, "instance", None):
-        inst = instance_from_json(Path(args.instance).read_text())
+        inst = instance_from_wire(json.loads(Path(args.instance).read_text()))
         if inst.n > args.cap_users:
             raise CapExceeded("instance user count", inst.n, args.cap_users)
         return inst
@@ -83,14 +84,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.m is None or args.t is None or args.sizes is None:
         raise ValueError("provide all of -m, -t and -S")
     inst = build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
-    _emit(args, instance_to_json(inst, pretty=args.pretty))
+    _emit(args, instance_wire(inst))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     report = full_report(inst, q=args.field, node_cap=args.cap_nodes)
-    obj = json.loads(report.to_json())
+    obj = report.wire()
     if args.exact or args.heuristic:
         limit = inst.n if args.exact else 0
         chain = best_chain_bound(inst, report.witness_assignment, exact_limit=limit)
@@ -99,21 +100,21 @@ def cmd_report(args: argparse.Namespace) -> int:
             "exact": chain.exact,
             "ordering": [u + 1 for u in chain.ordering],
         }
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+    _emit(args, obj)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    code = LinearCode.from_json(Path(args.code).read_text(), m=inst.m)
+    code = LinearCode.from_wire(json.loads(Path(args.code).read_text()), m=inst.m)
     report = is_valid(code, inst)
-    _emit(args, report.to_json(pretty=args.pretty))
+    _emit(args, report.wire())
     return 0 if report.valid else 1
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
     topo = network_topology(_load_instance(args))
-    _emit(args, topo.to_json(pretty=args.pretty))
+    _emit(args, topo.wire())
     return 0
 
 
@@ -124,8 +125,8 @@ def cmd_one_factor(args: argparse.Namespace) -> int:
     obj: dict = {"factor": None, "code": None}
     if factor is not None:
         obj["factor"] = [j + 1 for j in factor]
-        obj["code"] = json.loads(one_transmission_code(topo, factor).to_json())
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+        obj["code"] = one_transmission_code(topo, factor).wire()
+    _emit(args, obj)
     return 0 if factor is not None else 1
 
 
@@ -135,17 +136,16 @@ def cmd_circular_arc(args: argparse.Namespace) -> int:
     code, trace = circular_arc_scheme_with_trace(
         inst, order, q=args.field or 2, node_cap=args.cap_nodes
     )
-    obj = {"rows": code.ell, "code": json.loads(code.to_json())}
+    obj = {"rows": code.ell, "code": code.wire()}
     if args.trace:
-        obj["trace"] = json.loads(trace.to_json())
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+        obj["trace"] = trace.wire()
+    _emit(args, obj)
     return 0
 
 
 def cmd_lemma3_sweep(args: argparse.Namespace) -> int:
     summary = sweep_intersection_families(args.ground_size)
-    obj = asdict(summary) | {"ok": summary.ok}
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+    _emit(args, asdict(summary) | {"ok": summary.ok})
     return 0 if summary.ok else 1
 
 
@@ -153,8 +153,7 @@ def cmd_lemma4_random(args: argparse.Namespace) -> int:
     summary = random_averaging_suite(
         args.trials, args.seed, x_max=args.x_max, y_max=args.y_max
     )
-    obj = asdict(summary) | {"ok": summary.ok}
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+    _emit(args, asdict(summary) | {"ok": summary.ok})
     return 0 if summary.ok else 1
 
 
@@ -163,8 +162,7 @@ def cmd_block_cover(args: argparse.Namespace) -> int:
         args.m, args.s, args.t, args.max_block_size,
         collection_cap=args.cap_collections,
     )
-    obj = asdict(summary) | {"impossible": summary.impossible}
-    _emit(args, json.dumps(obj, indent=2 if args.pretty else None))
+    _emit(args, asdict(summary) | {"impossible": summary.impossible})
     return 0 if summary.impossible else 1
 
 

@@ -9,7 +9,6 @@ messages any group member can miss.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -78,16 +77,6 @@ def gf_rref(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, ...
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def gf_rank(rows: Sequence[Sequence[int]], q: int) -> int:
-    return len(gf_rref(rows, q)[0])
-
-
-def gf_in_span(vec: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> bool:
-    """Is vec a GF(q)-linear combination of the given rows?"""
-    base = gf_rank(rows, q)
-    return gf_rank(list(rows) + [list(vec)], q) == base
-
-
 # ---------- codes ----------
 
 
@@ -114,15 +103,11 @@ class LinearCode:
     def ell(self) -> int:
         return len(self.rows)
 
-    def to_json(self, pretty: bool = False) -> str:
-        return json.dumps(
-            {"q": self.q, "rows": [list(r) for r in self.rows]},
-            indent=2 if pretty else None,
-        )
+    def wire(self) -> dict:
+        return {"q": self.q, "rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json(cls, text: str, m: int | None = None) -> "LinearCode":
-        obj = json.loads(text)
+    def from_wire(cls, obj: object, m: int | None = None) -> "LinearCode":
         rows = tuple(tuple(r) for r in _json_field(obj, "rows", nested=True))
         if rows:
             width = len(rows[0])

@@ -14,7 +14,6 @@ cyclic order, is an int bitmask.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,12 +35,11 @@ class Hypergraph:
             if any(v < 0 or v >= self.n_vertices for v in e):
                 raise ValueError("edge contains an unknown vertex")
 
-    def to_json(self, pretty: bool = False) -> str:
-        obj = {
+    def wire(self) -> dict:
+        return {
             "n": self.n_vertices,
             "edges": [sorted(v + 1 for v in e) for e in self.edges],
         }
-        return json.dumps(obj, indent=2 if pretty else None)
 
 
 def network_topology(inst: Instance) -> Hypergraph:
@@ -118,13 +116,13 @@ def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> L
         raise NotAFactor("factor repeats an edge")
     if any(j < 0 or j >= len(h.edges) for j in labels):
         raise NotAFactor("factor uses an unknown edge label")
-    covered: set[int] = set()
+    covered = 0
     for j in labels:
-        e = h.edges[j]
+        e = sum(1 << v for v in h.edges[j])
         if covered & e:
             raise NotAFactor(f"edge {j} overlaps the rest of the factor")
         covered |= e
-    if covered != set(range(h.n_vertices)):
+    if covered != (1 << h.n_vertices) - 1:
         raise NotAFactor("factor leaves a user uncovered")
     row = tuple(1 if j in chosen else 0 for j in range(len(h.edges)))
     return LinearCode(q, len(h.edges), (row,))
@@ -176,14 +174,13 @@ class CircularArcTrace:
     selected: list[dict] = field(default_factory=list)
     gap_covers: list[dict] = field(default_factory=list)
 
-    def to_json(self, pretty: bool = False) -> str:
-        obj = {
+    def wire(self) -> dict:
+        return {
             "factor": None if self.factor is None else [j + 1 for j in self.factor],
             "dropped": [j + 1 for j in self.dropped],
             "selected": self.selected,
             "gap_covers": self.gap_covers,
         }
-        return json.dumps(obj, indent=2 if pretty else None)
 
 
 def _drop_dominated(arcs: dict[int, int]) -> tuple[dict[int, int], list[int]]:

@@ -5,13 +5,13 @@ side-information set A_i and is happy once it can decode any t messages it
 does not hold.  `Instance` checks this premise once, when it is built, and
 the other modules trust it.  Message indices are 0-based internally and
 1-based in the JSON wire format.  The helpers at the bottom of this module
-convert instances and assignments; verifier, hypergraph, bounds and cli
-convert the outputs they serialize themselves.
+convert instances and assignments to and from wire objects (plain dicts
+and lists); coding, verifier, hypergraph and bounds build the wire objects
+of their own types, and only cli reads or writes JSON text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,13 +179,12 @@ def validate_assignment(inst: Instance, assignment: Assignment) -> None:
 # ---------- JSON wire format (1-based message indices) ----------
 
 
-def instance_to_json(inst: Instance, pretty: bool = False) -> str:
-    obj = {
+def instance_wire(inst: Instance) -> dict:
+    return {
         "m": inst.m,
         "t": inst.t,
         "users": [sorted(x + 1 for x in a) for a in inst.users],
     }
-    return json.dumps(obj, indent=2 if pretty else None)
 
 
 def _json_field(obj: object, key: str, nested: bool = False):
@@ -206,8 +205,7 @@ def _json_field(obj: object, key: str, nested: bool = False):
     return val
 
 
-def instance_from_json(text: str) -> Instance:
-    obj = json.loads(text)
+def instance_from_wire(obj: object) -> Instance:
     users = _json_field(obj, "users", nested=True)
     for i, a in enumerate(users):
         if len(set(a)) != len(a):

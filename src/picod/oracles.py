@@ -115,15 +115,9 @@ def verify_intersection_witness(
     blocks: Sequence[frozenset[int]], witness: Sequence[int]
 ) -> bool:
     """Does the index set pick blocks meeting in exactly |witness| - 1 elements?"""
-    picked = list(witness)
-    if not picked or len(set(picked)) != len(picked):
+    if any(p < 0 or p >= len(blocks) for p in witness):
         return False
-    if any(p < 0 or p >= len(blocks) for p in picked):
-        return False
-    inter = frozenset(blocks[picked[0]])
-    for p in picked[1:]:
-        inter &= blocks[p]
-    return len(inter) == len(picked) - 1
+    return _meets_exactly([_mask(b) for b in blocks], tuple(witness))
 
 
 def _meets_exactly(masks: Sequence[int], witness: tuple[int, ...]) -> bool:

@@ -14,7 +14,6 @@ takes any `known`, range-checks its argument.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -53,8 +52,8 @@ class DecodabilityReport:
     valid: bool
     per_user: tuple[UserDecoding, ...]
 
-    def to_json(self, pretty: bool = False) -> str:
-        obj = {
+    def wire(self) -> dict:
+        return {
             "valid": self.valid,
             "per_user": [
                 {
@@ -64,7 +63,6 @@ class DecodabilityReport:
                 for u in self.per_user
             ],
         }
-        return json.dumps(obj, indent=2 if pretty else None)
 
 
 def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:

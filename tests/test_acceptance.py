@@ -16,8 +16,6 @@ hide a real mathematical fact, so the failure stands and is documented.
 import itertools
 import time
 
-import pytest
-
 from picod.bounds import (
     MAIS_EXACT,
     best_chain_bound,

@@ -1,7 +1,6 @@
 """Acyclic-set bound, decoding chains, closed forms, and combined reports."""
 
 import itertools
-import json
 import time
 
 import pytest
@@ -492,7 +491,7 @@ class TestBoundReport:
 
     def test_json_shape(self):
         rep = full_report(build_complete_s(3, 1, {1}))
-        obj = json.loads(rep.to_json())
+        obj = rep.wire()
         assert obj["m"] == 3 and obj["t"] == 1 and obj["S"] == [1]
         assert obj["lower_bound"] == 2 and obj["achieved"] == 2
         assert obj["tight"] is True

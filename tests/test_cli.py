@@ -13,7 +13,7 @@ import pytest
 
 import picod
 from picod.cli import main
-from picod.instance import build_complete_s, instance_to_json
+from picod.instance import build_complete_s, instance_wire
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,6 +70,31 @@ class TestGen:
         )
         assert rc == 2
         assert "cap" in err
+
+
+class TestOutputFormat:
+    """Every command prints one JSON object, compact or with indent=2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "-m", "3", "-t", "1", "-S", "1"],
+        ["report", "-m", "3", "-t", "1", "-S", "1", "--exact"],
+        ["verify", "-m", "3", "-t", "1", "-S", "1", "--code", "code.json"],
+        ["hypergraph", "topology", "-m", "3", "-t", "1", "-S", "1"],
+        ["hypergraph", "one-factor", "-m", "3", "-t", "1", "-S", "2"],
+        ["hypergraph", "circular-arc", "-m", "3", "-t", "1", "-S", "1", "--trace"],
+        ["oracle", "lemma3-sweep", "-s", "2"],
+        ["oracle", "lemma4-random", "--trials", "50", "--seed", "3"],
+        ["oracle", "block-cover", "-m", "3", "-s", "1", "-t", "1", "--max-block-size", "3"],
+    ], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")))
+    def test_one_serializer_per_command(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "code.json").write_text('{"q": 2, "rows": [[1, 1, 0]]}')
+        rc, out, _ = run_cli(capsys, *argv)
+        obj = json.loads(out)
+        assert out == json.dumps(obj) + "\n"
+        pretty_rc, pretty, _ = run_cli(capsys, *argv, "--pretty")
+        assert pretty == json.dumps(obj, indent=2) + "\n"
+        assert pretty_rc == rc
 
 
 class TestReport:
@@ -162,7 +187,7 @@ class TestReport:
 
     def test_builds_instance_once(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "inst.json"
-        target.write_text(instance_to_json(build_complete_s(4, 1, {1, 2})))
+        target.write_text(json.dumps(instance_wire(build_complete_s(4, 1, {1, 2}))))
         calls = []
 
         def counting(*args, **kwargs):
@@ -197,7 +222,7 @@ class TestReport:
     ])
     def test_instance_file_over_user_cap(self, capsys, tmp_path, command):
         target = tmp_path / "inst.json"
-        target.write_text(instance_to_json(build_complete_s(5, 1, {2})))
+        target.write_text(json.dumps(instance_wire(build_complete_s(5, 1, {2}))))
         (tmp_path / "code.json").write_text('{"q": 2, "rows": [[1, 1, 1, 1, 1]]}')
         command = [str(tmp_path / c) if c.endswith(".json") else c for c in command]
         rc, out, err = run_cli(

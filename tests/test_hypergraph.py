@@ -1,7 +1,6 @@
 """Topology hypergraphs, 1-factors, and the circular-arc scheme."""
 
 import itertools
-import json
 
 import pytest
 
@@ -48,7 +47,7 @@ class TestHypergraphType:
 
     def test_json_wire_is_one_based(self):
         h = Hypergraph(3, (frozenset({0, 2}), frozenset()))
-        obj = json.loads(h.to_json())
+        obj = h.wire()
         assert obj == {"n": 3, "edges": [[1, 3], []]}
 
 
@@ -417,7 +416,7 @@ class TestSchemeRandom:
     def test_trace_serializes(self):
         inst = build_complete_s(3, 1, SizeProfile.parse("1"))
         _, trace = circular_arc_scheme_with_trace(inst, (0, 1, 2))
-        obj = json.loads(trace.to_json())
+        obj = trace.wire()
         assert obj["factor"] is None
         assert obj["dropped"] == [1]
         assert {e["label"] for e in obj["selected"]} == {2, 3}

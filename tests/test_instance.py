@@ -12,8 +12,8 @@ from picod.instance import (
     SizeProfile,
     assignment_to_lists,
     build_complete_s,
-    instance_from_json,
-    instance_to_json,
+    instance_from_wire,
+    instance_wire,
     is_complete_s,
     user_choices,
     validate_assignment,
@@ -166,19 +166,18 @@ class TestJson:
         rng = seeded(11)
         for _ in range(25):
             inst = random_instance(rng, m_max=6, n_max=8, t=rng.randint(1, 2))
-            again = instance_from_json(instance_to_json(inst))
+            again = instance_from_wire(instance_wire(inst))
             assert again == inst
 
     def test_wire_format_is_one_based(self):
         inst = build_complete_s(3, 1, {1})
-        obj = json.loads(instance_to_json(inst))
-        assert obj == {"m": 3, "t": 1, "users": [[1], [2], [3]]}
+        assert instance_wire(inst) == {"m": 3, "t": 1, "users": [[1], [2], [3]]}
 
     def test_from_json_validates(self):
         with pytest.raises(ValueError):
-            instance_from_json('{"m": 3, "t": 1, "users": [[4]]}')
+            instance_from_wire(json.loads('{"m": 3, "t": 1, "users": [[4]]}'))
         with pytest.raises(ValueError):
-            instance_from_json('{"m": 3, "t": 3, "users": [[1]]}')
+            instance_from_wire(json.loads('{"m": 3, "t": 3, "users": [[1]]}'))
 
     def test_assignment_lists(self):
         assert assignment_to_lists((frozenset({0, 2}), frozenset({1}))) == [

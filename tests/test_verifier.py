@@ -1,6 +1,5 @@
 """Decodability closure, validity reports, and exhaustive code search."""
 
-import json
 import time
 
 import pytest
@@ -164,7 +163,7 @@ class TestIsValid:
     def test_report_json_is_one_based(self):
         inst = build_complete_s(2, 1, {0})
         code = LinearCode(2, 2, ((1, 0),))
-        obj = json.loads(is_valid(code, inst).to_json())
+        obj = is_valid(code, inst).wire()
         assert obj == {"valid": True, "per_user": [{"A": [], "B": [1]}]}
 
 

@@ -21,10 +21,8 @@ from .coding import (
     LinearCode,
     PartitionPlan,
     build_partition_scheme,
-    default_field,
     mds_rows,
     optimal_partition,
-    part_cost,
     smallest_prime_at_least,
     unit_rows,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "closed_form_length",
     "averaging_pair",
     "decodable_closure",
-    "default_field",
     "dual",
     "full_report",
     "has_one_factor",
@@ -113,7 +110,6 @@ __all__ = [
     "network_topology",
     "one_transmission_code",
     "optimal_partition",
-    "part_cost",
     "random_averaging_suite",
     "small_m_table_rows",
     "smallest_prime_at_least",

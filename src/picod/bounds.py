@@ -333,11 +333,7 @@ def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> 
     sizes so that one-size profiles report under their own rule (the values
     agree either way).
     """
-    prof = _as_sizes(profile)
-    if m < 1 or t < 1 or t > m:
-        raise ValueError(f"need 1 <= t <= m, got m={m}, t={t}")
-    if prof.smax > m - t:
-        raise ValueError(f"sizes {prof.sorted()} exceed m - t = {m - t}")
+    prof = _as_sizes(profile, m, t)
     smin, smax = prof.smin, prof.smax
     sizes = prof.sizes
 

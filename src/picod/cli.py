@@ -70,21 +70,21 @@ def _emit(args: argparse.Namespace, obj: object) -> None:
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
-    if getattr(args, "instance", None):
+    params = (args.m, args.t, args.sizes)
+    if args.instance:
+        if any(p is not None for p in params):
+            raise ValueError("give --instance or -m, -t and -S, not both")
         inst = instance_from_wire(json.loads(Path(args.instance).read_text()))
         if inst.n > args.cap_users:
             raise CapExceeded("instance user count", inst.n, args.cap_users)
         return inst
-    if args.m is None or args.t is None or args.sizes is None:
+    if any(p is None for p in params):
         raise ValueError("provide --instance or all of -m, -t and -S")
     return build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.m is None or args.t is None or args.sizes is None:
-        raise ValueError("provide all of -m, -t and -S")
-    inst = build_complete_s(args.m, args.t, args.sizes, user_cap=args.cap_users)
-    _emit(args, instance_wire(inst))
+    _emit(args, instance_wire(_load_instance(args)))
     return 0
 
 

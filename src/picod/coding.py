@@ -2,9 +2,9 @@
 
 A broadcast code is an l x m matrix over GF(q): each row is one coded
 transmission, columns are messages.  For a complete-S instance the scheme
-partitions S into groups and serves each group either uncoded (plain unit
-rows) or with an MDS block whose row count equals the largest number of
-messages any group member can miss.
+serves the smallest sizes of S uncoded (plain unit rows) and the rest with
+one MDS block whose row count equals the largest number of messages any of
+those users can miss.
 """
 
 from __future__ import annotations
@@ -145,107 +145,54 @@ def mds_rows(k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 # ---------- partition plans ----------
 
-UNCODED = "uncoded"
-MDS = "mds"
-
-
-@dataclass(frozen=True)
-class PartitionPart:
-    """One group of side-information sizes and its cheaper serving strategy."""
-
-    sizes: tuple[int, ...]
-    strategy: str
-    cost: int
-
 
 @dataclass(frozen=True)
 class PartitionPlan:
+    """The partition scheme as two row counts: `uncoded` unit rows, then an
+    MDS block of `mds` rows; either may be 0."""
+
     m: int
-    t: int
-    parts: tuple[PartitionPart, ...]
+    uncoded: int
+    mds: int
 
     @property
     def total_cost(self) -> int:
-        return sum(p.cost for p in self.parts)
-
-    @property
-    def needs_mds(self) -> bool:
-        return any(p.strategy == MDS for p in self.parts)
-
-
-def part_cost(m: int, t: int, sizes: Iterable[int]) -> tuple[int, str]:
-    """Cheaper of the two strategies for one group of sizes.
-
-    Uncoded sends the first max(sizes)+t messages plainly; the MDS block
-    needs m-min(sizes) rows.  Ties go to uncoded, which works over GF(2).
-    """
-    group = sorted(sizes)
-    uncoded_cost = group[-1] + t
-    mds_cost = m - group[0]
-    if uncoded_cost <= mds_cost:
-        return uncoded_cost, UNCODED
-    return mds_cost, MDS
+        return self.uncoded + self.mds
 
 
 def optimal_partition(m: int, t: int, profile: SizeProfile | Iterable[int]) -> PartitionPlan:
-    """Cheapest partition of S into groups, each served by its better strategy.
+    """Cheapest split of sorted(S) into an uncoded prefix and an MDS suffix.
 
-    Because a group's cost depends only on its smallest and largest size,
-    some optimal partition splits sorted(S) into consecutive runs, so a
-    quadratic scan over run boundaries suffices.  Ties prefer fewer groups,
-    then shorter trailing groups.
+    Serving a group of sizes uncoded sends its first max + t messages
+    plainly; an MDS block serves it with m - min rows.  Two groups served
+    the same way cost more than their union, and moving the sizes above an
+    uncoded group's largest into the MDS group can only raise that group's
+    smallest size, so some cheapest partition of S into groups has this
+    shape.  Ties prefer one group, then the shorter MDS suffix.
     """
-    prof = _as_sizes(profile)
-    if prof.smax > m - t:
-        raise ValueError(f"sizes {prof.sorted()} exceed m - t = {m - t}")
-    vals = prof.sorted()
+    vals = _as_sizes(profile, m, t).sorted()
     k = len(vals)
-    # best[j] = (cost, groups, parts tuple) for the prefix vals[:j]
-    best: list[tuple[int, int, tuple[PartitionPart, ...]]] = [(0, 0, ())]
-    for j in range(1, k + 1):
-        cand: tuple[int, int, tuple[PartitionPart, ...]] | None = None
-        # scanning the last group's start from high to low keeps, on ties,
-        # the shortest trailing group
-        for i in range(j - 1, -1, -1):
-            c, strat = part_cost(m, t, vals[i:j])
-            prev = best[i]
-            part = PartitionPart(vals[i:j], strat, c)
-            cur = (prev[0] + c, prev[1] + 1, prev[2] + (part,))
-            if cand is None or (cur[0], cur[1]) < (cand[0], cand[1]):
-                cand = cur
-        assert cand is not None
-        best.append(cand)
-    cost, _, parts = best[k]
-    plan = PartitionPlan(m, t, parts)
-    assert plan.total_cost == cost
-    return plan
-
-
-def default_field(m: int, plan: PartitionPlan) -> int:
-    """GF(2) unless some group needs an MDS block, then the smallest prime >= m."""
-    return smallest_prime_at_least(m) if plan.needs_mds else 2
+    plans = (
+        PartitionPlan(m, vals[j - 1] + t if j else 0, m - vals[j] if j < k else 0)
+        for j in range(k + 1)
+    )
+    # a nonzero count is a group, and a shorter suffix has fewer MDS rows
+    return min(plans, key=lambda p: (p.total_cost, (p.uncoded > 0) + (p.mds > 0), p.mds))
 
 
 def build_partition_scheme(plan: PartitionPlan, q: int | None = None) -> LinearCode:
-    """Assemble the broadcast matrix of a partition plan.
+    """Assemble the broadcast matrix of a partition plan: the uncoded unit
+    rows, then the MDS block.
 
-    Every user whose side-information size lies in some group decodes at
-    least t fresh messages from that group's rows: the uncoded rows expose
-    max(sizes)+t plain messages, and an MDS block of m-min(sizes) rows
-    recovers all unknowns of anyone holding at least min(sizes) messages.
+    Every user of the uncoded prefix decodes at least t plain messages, and
+    an MDS block of m - min rows recovers all unknowns of anyone holding at
+    least min messages.  Without q the field is GF(2), or the smallest prime
+    >= m when there is an MDS block.
     """
-    m, t = plan.m, plan.t
+    m = plan.m
     if q is None:
-        q = default_field(m, plan)
-    _check_field(q)
-    rows: list[tuple[int, ...]] = []
-    for part in plan.parts:
-        if part.strategy == UNCODED:
-            rows.extend(tuple(r) for r in unit_rows(part.sizes[-1] + t, m))
-        elif part.strategy == MDS:
-            rows.extend(mds_rows(m - part.sizes[0], m, q))
-        else:
-            raise ValueError(f"unknown strategy {part.strategy!r}")
-    code = LinearCode(q, m, tuple(rows))
-    assert code.ell == plan.total_cost
-    return code
+        q = smallest_prime_at_least(m) if plan.mds else 2
+    rows = [tuple(r) for r in unit_rows(plan.uncoded, m)]
+    if plan.mds:
+        rows.extend(mds_rows(plan.mds, m, q))
+    return LinearCode(q, m, tuple(rows))

@@ -73,10 +73,15 @@ class SizeProfile:
         return cls(frozenset(sizes))
 
 
-def _as_sizes(profile: SizeProfile | Iterable[int]) -> SizeProfile:
-    if isinstance(profile, SizeProfile):
-        return profile
-    return SizeProfile(frozenset(profile))
+def _as_sizes(profile: SizeProfile | Iterable[int], m: int, t: int) -> SizeProfile:
+    """S as a SizeProfile, checked against the PICOD(t) premise: 1 <= t <= m
+    and no size above m - t."""
+    prof = profile if isinstance(profile, SizeProfile) else SizeProfile(frozenset(profile))
+    if m < 1 or t < 1 or t > m:
+        raise ValueError(f"need 1 <= t <= m, got m={m}, t={t}")
+    if prof.smax > m - t:
+        raise ValueError(f"sizes {prof.sorted()} exceed m - t = {m - t}")
+    return prof
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,7 @@ def build_complete_s(
     Users are ordered by layer (ascending size), lexicographically inside a
     layer.
     """
-    prof = _as_sizes(profile)
-    if m < 1 or t < 1 or t > m:
-        raise ValueError(f"need 1 <= t <= m, got m={m}, t={t}")
-    if prof.smax > m - t:
-        raise ValueError(f"sizes {prof.sorted()} exceed m - t = {m - t}")
+    prof = _as_sizes(profile, m, t)
     n = sum(math.comb(m, s) for s in prof.sizes)
     if n > user_cap:
         raise CapExceeded("complete-S user count", n, user_cap)

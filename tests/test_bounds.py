@@ -469,6 +469,20 @@ class TestClosedForm:
                 assert got == (value, SMALL_M_TABLE)
             assert optimal_partition(m, t, sizes).total_cost == value
 
+    def test_every_closed_form_equals_partition_cost(self):
+        # every profile with m <= 10 that some rule covers
+        covered = 0
+        for m in range(1, 11):
+            for t in range(1, m + 1):
+                pool = range(m - t + 1)
+                for r in range(1, len(pool) + 1):
+                    for sizes in itertools.combinations(pool, r):
+                        got = closed_form_length(m, t, sizes)
+                        if got is not None:
+                            covered += 1
+                            assert got[0] == optimal_partition(m, t, sizes).total_cost
+        assert covered == 1344
+
 
 class TestBoundReport:
     def test_tight_flag_must_match(self):

@@ -36,13 +36,13 @@ class TestGen:
         users = json.loads(out)["users"]
         assert len(users) == 1 + 6 + 4
 
-    def test_pretty_prints_indented(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "gen", "-m", "2", "-t", "1", "-S", "1", "--pretty"
-        )
+    def test_instance_file(self, capsys, tmp_path):
+        target = tmp_path / "inst.json"
+        wire = instance_wire(build_complete_s(3, 1, {0, 2}))
+        target.write_text(json.dumps(wire))
+        rc, out, _ = run_cli(capsys, "gen", "--instance", str(target))
         assert rc == 0
-        assert out.startswith("{\n")
-        assert json.loads(out)["m"] == 2
+        assert json.loads(out) == wire
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "inst.json"
@@ -236,6 +236,15 @@ class TestReport:
             capsys, *command, "--instance", str(target), "--cap-users", "10"
         )
         assert rc in (0, 1)
+
+    @pytest.mark.parametrize("command", [["gen"], ["report"], ["hypergraph", "topology"]], ids=" ".join)
+    @pytest.mark.parametrize("params", [["-m", "2", "-t", "1", "-S", "0"], ["-t", "2"], ["-S", "0"]], ids=" ".join)
+    def test_instance_file_with_parameters_rejected(self, capsys, tmp_path, command, params):
+        target = tmp_path / "inst.json"
+        target.write_text(json.dumps(instance_wire(build_complete_s(3, 1, {1}))))
+        rc, out, err = run_cli(capsys, *command, "--instance", str(target), *params)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_instance_file(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -5,16 +5,12 @@ import itertools
 import pytest
 
 from picod.coding import (
-    MDS,
-    UNCODED,
     LinearCode,
     build_partition_scheme,
-    default_field,
     gf_rref,
     is_prime,
     mds_rows,
     optimal_partition,
-    part_cost,
     smallest_prime_at_least,
     unit_rows,
 )
@@ -177,37 +173,36 @@ def _brute_singular(matrix, q):
     return False
 
 
-class TestPartCost:
-    def test_prefers_cheaper_strategy(self):
-        assert part_cost(5, 1, [0, 2]) == (3, UNCODED)
-        assert part_cost(5, 1, [4]) == (1, MDS)
-        assert part_cost(6, 2, [0]) == (2, UNCODED)
-        assert part_cost(6, 1, [4, 5]) == (2, MDS)
-
-    def test_tie_goes_uncoded(self):
-        # m - min == max + t here
-        assert part_cost(5, 1, [2]) == (3, UNCODED)
-        assert part_cost(4, 2, [0, 2]) == (4, UNCODED)
+def split(m, t, sizes):
+    """(uncoded, mds) row counts of the optimal partition plan."""
+    plan = optimal_partition(m, t, sizes)
+    return plan.uncoded, plan.mds
 
 
 class TestOptimalPartition:
+    def test_prefers_cheaper_strategy(self):
+        assert split(5, 1, {0, 2}) == (3, 0)
+        assert split(5, 1, {4}) == (0, 1)
+        assert split(6, 2, {0}) == (2, 0)
+        assert split(6, 1, {4, 5}) == (0, 2)
+
+    def test_tie_goes_uncoded(self):
+        # m - min == max + t here
+        assert split(5, 1, {2}) == (3, 0)
+        assert split(4, 2, {0, 2}) == (4, 0)
+
     def test_alternating_sizes_split(self):
-        plan = optimal_partition(5, 1, {0, 2, 4})
-        assert [(p.sizes, p.strategy, p.cost) for p in plan.parts] == [
-            ((0, 2), UNCODED, 3),
-            ((4,), MDS, 1),
-        ]
-        assert plan.total_cost == 4
+        assert split(5, 1, {0, 2, 4}) == (3, 1)
 
     def test_single_size(self):
         for m, t, s in [(5, 1, 2), (6, 2, 1), (7, 1, 6)]:
             plan = optimal_partition(m, t, {s})
             assert plan.total_cost == min(s + t, m - s)
-            assert len(plan.parts) == 1
+            assert 0 in (plan.uncoded, plan.mds)
 
     def test_tie_prefers_fewer_parts(self):
         plan = optimal_partition(4, 1, {0, 1, 2, 3})
-        assert len(plan.parts) == 1
+        assert 0 in (plan.uncoded, plan.mds)
         assert plan.total_cost == 4
 
     def test_matches_brute_force_over_all_set_partitions(self):
@@ -221,14 +216,15 @@ class TestOptimalPartition:
             assert plan.total_cost == brute_best_partition_cost(m, t, sizes)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            optimal_partition(4, 2, {3})
+        for m, t, sizes in [(4, 2, {3}), (3, -1, {0}), (3, 0, {1})]:
+            with pytest.raises(ValueError):
+                optimal_partition(m, t, sizes)
 
 
 class TestSchemeAssembly:
     def test_default_field(self):
-        assert default_field(6, optimal_partition(6, 1, {0, 1})) == 2
-        assert default_field(6, optimal_partition(6, 1, {5})) == 7
+        assert build_partition_scheme(optimal_partition(6, 1, {0, 1})).q == 2
+        assert build_partition_scheme(optimal_partition(6, 1, {5})).q == 7
 
     def test_row_layout(self):
         plan = optimal_partition(5, 1, {0, 2, 4})

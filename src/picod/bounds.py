@@ -8,7 +8,9 @@ Two converse tools work on any instance:
   minimum over all desired-set assignments lower-bounds the code length;
 * the decoding-chain bound: walk users in some order and count how many of
   each user's desired messages are new relative to everything earlier users
-  held or decoded.
+  held or decoded.  The best ordering depends only on that union, so one
+  search memoized on the union mask finds it exactly, and a state stops once
+  it reaches the count of desired messages still outside the union.
 
 Closed-form lengths cover consecutive size profiles, profiles whose
 complement inside [0, m-t] is a consecutive run, one-size profiles, profiles
@@ -39,7 +41,6 @@ from .instance import (
 from .verifier import induced_assignment, is_valid
 
 DEFAULT_MAIS_NODE_CAP = 5 * 10**6
-DEFAULT_EXACT_CHAIN_LIMIT = 12
 
 
 def _close(
@@ -201,94 +202,48 @@ def chain_bound(inst: Instance, assignment: Assignment, ordering: Sequence[int])
 @dataclass(frozen=True)
 class ChainBoundResult:
     value: int
-    exact: bool
     ordering: tuple[int, ...]
 
 
-def _greedy_chain(
-    n: int, dmask: list[int], adm: list[int], m: int, first: int
-) -> tuple[int, tuple[int, ...]]:
-    used = 1 << first
-    u = adm[first]
-    total = dmask[first].bit_count()
-    order = [first]
-    while True:
-        best_key: tuple[int, int, int] | None = None
-        best_j = -1
-        for j in range(n):
-            if used & (1 << j):
-                continue
+def best_chain_bound(inst: Instance, assignment: Assignment) -> ChainBoundResult:
+    """Best chain_bound over orderings, exact, with the first maximizing one.
+
+    Let u be the union of everything the placed users held or desired.  A
+    placed user's A | D lies inside u, so it adds nothing again and is never
+    placed twice: the best continuation depends on u alone, and the search
+    is memoized on u (at most 2^m states, one scan of the users each).
+    Users adding nothing new are skipped, since placing one cannot raise any
+    later term.  No continuation adds more than the desired messages outside
+    u, so a state stops scanning once its best reaches that count; the first
+    maximizer is kept, so the cut leaves the ordering unchanged.
+    """
+    validate_assignment(inst, assignment)
+    dmask = [sum(1 << x for x in d) for d in assignment]
+    adm = [a | d for a, d in zip(inst.masks, dmask)]
+    wanted = 0
+    for d in dmask:
+        wanted |= d
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def f(u: int) -> tuple[int, tuple[int, ...]]:
+        cached = memo.get(u)
+        if cached is not None:
+            return cached
+        cap = (wanted & ~u).bit_count()
+        best: tuple[int, tuple[int, ...]] = (0, ())
+        for j in range(inst.n):
+            if best[0] == cap:
+                break
             inc = (dmask[j] & ~u).bit_count()
             if inc == 0:
                 continue
-            growth = (adm[j] & ~u).bit_count()
-            key = (-inc, growth, j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_j = j
-        if best_j < 0:
-            break
-        used |= 1 << best_j
-        total += -best_key[0]
-        u |= adm[best_j]
-        order.append(best_j)
-        if total == m:
-            break
-    return total, tuple(order)
+            sub_val, sub_ord = f(u | adm[j])
+            if inc + sub_val > best[0]:
+                best = (inc + sub_val, (j,) + sub_ord)
+        memo[u] = best
+        return best
 
-
-def best_chain_bound(
-    inst: Instance,
-    assignment: Assignment,
-    exact_limit: int = DEFAULT_EXACT_CHAIN_LIMIT,
-) -> ChainBoundResult:
-    """Best chain_bound over orderings.
-
-    Exact for small n via a subset-memoized search (the set of users already
-    placed determines everything later), greedy multi-start beyond, flagged
-    as inexact.  Users contributing nothing new are never placed, placing
-    one cannot raise any later term.
-    """
-    validate_assignment(inst, assignment)
-    n = inst.n
-    if n == 0:
-        return ChainBoundResult(0, True, ())
-    dmask = [sum(1 << x for x in d) for d in assignment]
-    adm = [a | d for a, d in zip(inst.masks, dmask)]
-
-    if n <= exact_limit:
-        memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-        def f(used: int, u: int) -> tuple[int, tuple[int, ...]]:
-            cached = memo.get(used)
-            if cached is not None:
-                return cached
-            best = (0, ())
-            for j in range(n):
-                if used & (1 << j):
-                    continue
-                inc = (dmask[j] & ~u).bit_count()
-                if inc == 0:
-                    continue
-                sub_val, sub_ord = f(used | (1 << j), u | adm[j])
-                cand = (inc + sub_val, (j,) + sub_ord)
-                if cand[0] > best[0]:
-                    best = cand
-            memo[used] = best
-            return best
-
-        value, ordering = f(0, 0)
-        return ChainBoundResult(value, True, ordering)
-
-    starts: dict[tuple[int, int], int] = {}
-    for j in range(n):
-        starts.setdefault((adm[j], dmask[j]), j)
-    best_val, best_ord = 0, ()
-    for first in starts.values():
-        val, order = _greedy_chain(n, dmask, adm, inst.m, first)
-        if val > best_val:
-            best_val, best_ord = val, order
-    return ChainBoundResult(best_val, False, tuple(best_ord))
+    return ChainBoundResult(*f(0))
 
 
 # ---------- closed forms ----------
@@ -375,14 +330,15 @@ class BoundReport:
     lower_bound: int
     lower_bound_method: str
     achieved: int
-    tight: bool
     closed_form: tuple[int, str] | None
     witness_code: LinearCode
     witness_assignment: Assignment
 
+    @property
+    def tight(self) -> bool:
+        return self.lower_bound == self.achieved
+
     def __post_init__(self) -> None:
-        if self.tight != (self.lower_bound == self.achieved):
-            raise ValueError("tightness flag disagrees with the bounds")
         if self.closed_form is not None:
             v = self.closed_form[0]
             if not self.lower_bound <= v <= self.achieved:
@@ -442,7 +398,6 @@ def full_report(
         lower_bound=lower,
         lower_bound_method=method,
         achieved=code.ell,
-        tight=lower == code.ell,
         closed_form=closed,
         witness_code=code,
         witness_assignment=witness_assignment,

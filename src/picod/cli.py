@@ -92,14 +92,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     report = full_report(inst, q=args.field, node_cap=args.cap_nodes)
     obj = report.wire()
-    if args.exact or args.heuristic:
-        limit = inst.n if args.exact else 0
-        chain = best_chain_bound(inst, report.witness_assignment, exact_limit=limit)
-        obj["chain"] = {
-            "value": chain.value,
-            "exact": chain.exact,
-            "ordering": [u + 1 for u in chain.ordering],
-        }
+    if args.chain:
+        chain = best_chain_bound(inst, report.witness_assignment)
+        obj["chain"] = {"value": chain.value, "ordering": [u + 1 for u in chain.ordering]}
     _emit(args, obj)
     return 0
 
@@ -202,14 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap-nodes", type=_positive_arg, default=DEFAULT_MAIS_NODE_CAP,
         help="node budget of the lower-bound search; past it the bound is mais-partial",
     )
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--exact", action="store_true",
-        help="attach an exact best-ordering chain bound for the witness assignment",
-    )
-    group.add_argument(
-        "--heuristic", action="store_true",
-        help="attach a greedy chain bound for the witness assignment",
+    # --heuristic is the older spelling, kept so existing scripts still run
+    p.add_argument(
+        "--exact", "--heuristic", dest="chain", action="store_true",
+        help="attach the exact best-ordering chain bound for the witness assignment",
     )
     p.set_defaults(func=cmd_report)
 

@@ -24,7 +24,7 @@ from picod.bounds import (
     min_mais_lower_bound,
     small_m_table_rows,
 )
-from picod.coding import LinearCode, optimal_partition
+from picod.coding import LinearCode, build_partition_scheme, optimal_partition
 from picod.errors import SearchOverflow
 from picod.instance import (
     Instance,
@@ -33,10 +33,10 @@ from picod.instance import (
     user_choices,
     validate_assignment,
 )
-from picod.verifier import is_valid
+from picod.verifier import induced_assignment, is_valid
 from util import (
-    assignment_count, brute_code_valid, brute_mais, brute_min_mais, enumerate_assignments,
-    random_assignment, random_instance, seeded,
+    assignment_count, brute_best_chain, brute_code_valid, brute_mais, brute_min_mais,
+    enumerate_assignments, random_assignment, random_instance, seeded,
 )
 
 
@@ -245,9 +245,9 @@ class TestMinMais:
 
 
 class TestWideInputs:
-    """Instances with 30 or 40 messages; the search must stay polynomial in m
-    on them, so a design that walks all 2^m message sets fails on time or
-    runs out of its node budget."""
+    """Instances with many messages or users; the searches must not walk all
+    2^m message sets or every ordering of the users, so a design that does
+    fails on time or runs out of its node budget."""
 
     def test_forty_independent_demands(self):
         start = time.perf_counter()
@@ -264,6 +264,26 @@ class TestWideInputs:
         elapsed = time.perf_counter() - start
         assert rep.lower_bound_method == MAIS_EXACT
         assert elapsed < 5.0
+
+    def test_chain_on_induced_witness(self):
+        # 330 users: a search keyed on which users are placed takes minutes
+        inst = build_complete_s(10, 2, {3, 4})
+        d = induced_assignment(build_partition_scheme(optimal_partition(10, 2, {3, 4})), inst)
+        start = time.perf_counter()
+        res = best_chain_bound(inst, d)
+        elapsed = time.perf_counter() - start
+        assert res.value == 6
+        assert elapsed < 1.0
+
+    def test_chain_on_eighteen_independent_demands(self):
+        # every union of placed users is reachable, so only the cut at the
+        # count of desired messages left keeps this off 2^18 states
+        inst = Instance(m=18, t=1, users=(frozenset(),) * 18)
+        start = time.perf_counter()
+        res = best_chain_bound(inst, tuple(frozenset({x}) for x in range(18)))
+        elapsed = time.perf_counter() - start
+        assert res.value == 18
+        assert elapsed < 0.5
 
 
 class TestKnownGaps:
@@ -383,7 +403,7 @@ class TestBestChainBound:
         inst = build_complete_s(3, 1, {1})
         d = (frozenset({1}), frozenset({0}), frozenset({0}))
         res = best_chain_bound(inst, d)
-        assert res.value == 2 and res.exact
+        assert res.value == 2
         assert chain_bound(inst, d, res.ordering) == 2
 
     def test_exact_matches_permutation_enumeration(self):
@@ -398,28 +418,33 @@ class TestBestChainBound:
                 for p in itertools.permutations(range(inst.n))
             )
             res = best_chain_bound(inst, d)
-            assert res.exact and res.value == want
+            assert res.value == want
 
-    def test_greedy_is_flagged_and_bounded(self):
-        rng = seeded(38)
-        for _ in range(20):
-            inst = random_instance(rng, m_max=5, n_max=9, t=1)
-            if inst.n == 0:
-                continue
+    def test_matches_brute_force_on_many_users(self):
+        rng = seeded(40)
+        for _ in range(30):
+            inst = random_instance(rng, m_max=8, n_min=13, n_max=16, t=rng.randint(1, 2))
             d = random_assignment(rng, inst)
-            exact = best_chain_bound(inst, d, exact_limit=12)
-            greedy = best_chain_bound(inst, d, exact_limit=0)
-            assert exact.exact and not greedy.exact
-            assert greedy.value <= exact.value
-            assert chain_bound(inst, d, greedy.ordering) == greedy.value
+            res = best_chain_bound(inst, d)
+            assert res.value == brute_best_chain(inst, d)
+            assert chain_bound(inst, d, res.ordering) == res.value
+
+    @pytest.mark.parametrize("m,t,sizes,want", [
+        (4, 1, {0, 2}, 3), (5, 1, {0, 3}, 3), (5, 2, {0, 1, 3}, 5),
+    ])
+    def test_report_witness(self, m, t, sizes, want):
+        inst = build_complete_s(m, t, sizes)
+        d = full_report(inst).witness_assignment
+        res = best_chain_bound(inst, d)
+        assert res.value == brute_best_chain(inst, d) == want
+        assert chain_bound(inst, d, res.ordering) == want
 
     def test_layered_instance_reaches_four(self):
         inst = build_complete_s(4, 1, {0, 1, 2, 3})
         rng = seeded(39)
         for _ in range(10):
             d = one_assignment(inst, rng)
-            res = best_chain_bound(inst, d)
-            assert res.value == 4 and not res.exact
+            assert best_chain_bound(inst, d).value == 4
 
 
 class TestClosedForm:
@@ -485,21 +510,12 @@ class TestClosedForm:
 
 
 class TestBoundReport:
-    def test_tight_flag_must_match(self):
-        code = LinearCode(2, 2, ((1, 0),))
-        with pytest.raises(ValueError):
-            BoundReport(
-                m=2, t=1, sizes=(0,), lower_bound=1, lower_bound_method=MAIS_EXACT,
-                achieved=1, tight=False, closed_form=None,
-                witness_code=code, witness_assignment=(frozenset({0}),),
-            )
-
     def test_closed_form_must_sit_between_bounds(self):
         code = LinearCode(2, 2, ((1, 0),))
         with pytest.raises(ValueError):
             BoundReport(
                 m=2, t=1, sizes=(0,), lower_bound=1, lower_bound_method=MAIS_EXACT,
-                achieved=1, tight=True, closed_form=(2, SINGLETON),
+                achieved=1, closed_form=(2, SINGLETON),
                 witness_code=code, witness_assignment=(frozenset({0}),),
             )
 

@@ -119,8 +119,8 @@ class TestReport:
         )
         assert rc == 0
         chain = json.loads(out)["chain"]
+        assert chain.keys() == {"value", "ordering"}
         assert chain["value"] == 2
-        assert chain["exact"] is True
         assert len(chain["ordering"]) == chain["value"]
 
     def test_heuristic_chain_attachment(self, capsys):
@@ -129,8 +129,20 @@ class TestReport:
         )
         assert rc == 0
         obj = json.loads(out)
-        assert obj["chain"]["exact"] is False
+        assert obj["chain"].keys() == {"value", "ordering"}
         assert 1 <= obj["chain"]["value"] <= obj["achieved"]
+
+    @pytest.mark.parametrize("m,t,sizes,want", [("4", "1", "0,2", 3), ("5", "2", "0,1,3", 5)])
+    def test_chain_spellings_print_the_same(self, capsys, m, t, sizes, want):
+        argv = ["report", "-m", m, "-t", t, "-S", sizes]
+        rc, exact, _ = run_cli(capsys, *argv, "--exact")
+        assert rc == 0
+        rc, heuristic, _ = run_cli(capsys, *argv, "--heuristic")
+        assert rc == 0
+        assert exact == heuristic
+        chain = json.loads(exact)["chain"]
+        assert chain.keys() == {"value", "ordering"}
+        assert chain["value"] == want
 
     def test_instance_file_matches_parameters(self, capsys, tmp_path):
         target = tmp_path / "inst.json"

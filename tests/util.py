@@ -241,13 +241,36 @@ def brute_family_witness(blocks, ground_size):
 
 
 # ---------------------------------------------------------------------------
+# decoding chains
+
+
+def brute_best_chain(inst, assignment):
+    """Largest chain total over every sequence of distinct users in which each
+    user desires a message that no earlier user held or desired.
+
+    Plain depth-first search over the sequences, with no memo and no cut.
+    """
+
+    def walk(seen, placed):
+        best = 0
+        for i, (a, d) in enumerate(zip(inst.users, assignment)):
+            new = d - seen
+            if i in placed or not new:
+                continue
+            best = max(best, len(new) + walk(seen | a | d, placed | {i}))
+        return best
+
+    return walk(frozenset(), frozenset())
+
+
+# ---------------------------------------------------------------------------
 # random generators
 
 
-def random_instance(rng, m_max=6, n_max=10, t=1):
+def random_instance(rng, m_max=6, n_max=10, t=1, n_min=1):
     """A valid instance with arbitrary (possibly repeated) side-info sets."""
     m = rng.randint(max(2, t + 1), m_max)
-    n = rng.randint(1, n_max)
+    n = rng.randint(n_min, n_max)
     users = []
     for _ in range(n):
         size = rng.randint(0, m - t)

@@ -10,6 +10,7 @@ those users can miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import FieldTooSmall
@@ -102,6 +103,11 @@ class LinearCode:
     @property
     def ell(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Row supports as bitmasks, the rows themselves over GF(2); not a field."""
+        return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in self.rows)
 
     def wire(self) -> dict:
         return {"q": self.q, "rows": [list(r) for r in self.rows]}

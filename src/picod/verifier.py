@@ -7,6 +7,8 @@ adding it as side information leaves the span, and what it decodes, unchanged.
 A column outside the code's support is all zero: it is never a pivot, so
 never decoded, and dropping it from K leaves the projected row space as it
 is.  Users with the same `known & support` thus share one elimination.
+Over GF(2) that elimination XORs int row masks into a fully reduced basis,
+whose unit rows are those of the unique reduced echelon form `gf_rref` finds.
 
 An `Instance` is valid by construction, so only `decodable_closure`, which
 takes any `known`, range-checks its argument.
@@ -15,6 +17,7 @@ takes any `known`, range-checks its argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Iterator
 
@@ -30,10 +33,26 @@ def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]
     membership test in the projected row space, where a unit vector lies
     exactly when it is a row of the reduced echelon form.  The result is
     closed: a decoded e_d is already in span(X, e_K), so knowing d as well
-    decodes nothing new, and one elimination suffices.
+    decodes nothing new, and one elimination suffices.  Over GF(2), `basis`
+    maps each pivot bit (the lowest unknown bit of its row) to that row, kept
+    clear at every other pivot bit: the unique reduced echelon form, so
+    `r == bit` is the `gf_rref` route's unit-row test.
     """
-    if any(x < 0 or x >= code.m for x in known):
+    if known and (min(known) < 0 or max(known) >= code.m):
         raise ValueError("known message outside column range")
+    if code.q == 2:
+        unknown_mask = ~sum(1 << x for x in known)
+        basis: dict[int, int] = {}
+        for r in code.masks:
+            r &= unknown_mask
+            for bit, b in basis.items():
+                if r & bit:
+                    r ^= b
+            if r:
+                bit = r & -r
+                basis = {c: b ^ r if b & bit else b for c, b in basis.items()}
+                basis[bit] = r
+        return frozenset(bit.bit_length() - 1 for bit, r in basis.items() if r == bit)
     unknown = [c for c in range(code.m) if c not in known]
     projected = [[row[c] for c in unknown] for row in code.rows]
     rref, pivots = gf_rref(projected, code.q)
@@ -67,7 +86,7 @@ class DecodabilityReport:
 
 def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
     """Each user's decoded set, one elimination per `known & support`."""
-    support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
+    support = reduce(int.__or__, code.masks, 0)
     memo: dict[int, frozenset[int]] = {}
     for a, mask in zip(inst.users, inst.masks):
         if (key := mask & support) not in memo:

@@ -80,6 +80,43 @@ class TestClosure:
             assert decodable_closure(code, closed) == frozenset()
 
 
+def _rref_closure(code, known):
+    """Decoded set by the general-q route: project onto the unknown columns,
+    reduce with gf_rref, keep the pivots of rows that are unit vectors."""
+    unknown = [c for c in range(code.m) if c not in known]
+    projected = [[row[c] for c in unknown] for row in code.rows]
+    rref, pivots = gf_rref(projected, code.q)
+    return frozenset(unknown[p] for r, p in zip(rref, pivots) if not any(r[p + 1 :]))
+
+
+class TestBinaryClosure:
+    def test_matches_enumeration_and_rref_route(self):
+        # GF(2) eliminates on row masks; zero rows, duplicate rows and zero
+        # columns are the cases where a mask kernel can slip
+        rng = seeded(26)
+        seen = {"zero row": 0, "duplicate row": 0, "zero column": 0}
+        for _ in range(300):
+            m, ell = rng.randint(1, 9), rng.randint(0, 6)
+            zero_cols = set(rng.sample(range(m), rng.randint(0, m // 2)))
+            rows = [
+                tuple(0 if c in zero_cols else rng.randrange(2) for c in range(m))
+                for _ in range(ell)
+            ]
+            if ell and rng.random() < 0.3:
+                rows[rng.randrange(ell)] = (0,) * m
+            if ell >= 2 and rng.random() < 0.3:
+                rows[rng.randrange(ell)] = rows[rng.randrange(ell)]
+            code = LinearCode(2, m, tuple(rows))
+            seen["zero row"] += (0,) * m in rows
+            seen["duplicate row"] += len(set(rows)) < ell
+            seen["zero column"] += any(not any(col) for col in zip(*rows))
+            known = frozenset(rng.sample(range(m), rng.randint(0, m)))
+            got = decodable_closure(code, known)
+            assert got == brute_closure(2, code.rows, m, known) - known
+            assert got == _rref_closure(code, known)
+        assert min(seen.values()) >= 50, seen
+
+
 class TestIsValid:
     def test_two_row_code_serves_three_users(self):
         inst = build_complete_s(3, 1, {1})

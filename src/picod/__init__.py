@@ -15,7 +15,6 @@ from .bounds import (
     full_report,
     mais,
     min_mais_lower_bound,
-    small_m_table_rows,
 )
 from .coding import (
     LinearCode,
@@ -111,7 +110,6 @@ __all__ = [
     "one_transmission_code",
     "optimal_partition",
     "random_averaging_suite",
-    "small_m_table_rows",
     "smallest_prime_at_least",
     "sweep_intersection_families",
     "unit_rows",

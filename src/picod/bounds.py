@@ -14,8 +14,8 @@ Two converse tools work on any instance:
 
 Closed-form lengths cover consecutive size profiles, profiles whose
 complement inside [0, m-t] is a consecutive run, one-size profiles, profiles
-entirely below or above the middle layer, profiles containing a symmetric
-band around the middle, and a verified table of the remaining m <= 5 cases.
+entirely below or above the middle layer, and profiles containing a
+symmetric band around the middle: the paper's theorems, and nothing else.
 
 An acyclic set is a message bitmask reachable from the empty set by steps
 that add a message x desired by an entry holding nothing of the set so far.
@@ -254,30 +254,6 @@ SINGLETON = "singleton"
 BELOW_MIDDLE = "below-middle"
 ABOVE_MIDDLE = "above-middle"
 MIDDLE_BAND = "middle-band"
-SMALL_M_TABLE = "small-m-table"
-
-# Verified optimal lengths of the small cases no formula above covers.
-_SMALL_M_TABLE: dict[tuple[int, frozenset[int], int], int] = {
-    (4, frozenset({0, 2}), 1): 3,
-    (4, frozenset({0, 2}), 2): 4,
-    (4, frozenset({1, 3}), 1): 3,
-    (5, frozenset({0, 3}), 1): 3,
-    (5, frozenset({0, 3}), 2): 4,
-    (5, frozenset({1, 4}), 1): 3,
-    (5, frozenset({1, 3}), 1): 4,
-    (5, frozenset({1, 3}), 2): 4,
-    (5, frozenset({0, 1, 3}), 1): 4,
-    (5, frozenset({1, 3, 4}), 1): 4,
-    (5, frozenset({0, 2, 3}), 1): 4,
-    (5, frozenset({0, 2, 4}), 1): 4,
-    (5, frozenset({1, 2, 4}), 1): 4,
-}
-
-
-def small_m_table_rows() -> tuple[tuple[int, frozenset[int], int, int], ...]:
-    """The (m, S, t, optimal length) rows of the embedded small-case table."""
-    return tuple(sorted(((m, s, t, v) for (m, s, t), v in _SMALL_M_TABLE.items()),
-                        key=lambda r: (r[0], sorted(r[1]), r[2])))
 
 
 def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> tuple[int, str] | None:
@@ -310,9 +286,6 @@ def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> 
     delta = min(smax - hi_mid, lo_mid - smin)
     if delta >= 0 and set(range(lo_mid - delta, hi_mid + delta + 1)) <= sizes:
         return min(smax + t, m - smin), MIDDLE_BAND
-    value = _SMALL_M_TABLE.get((m, frozenset(sizes), t))
-    if value is not None:
-        return value, SMALL_M_TABLE
     return None
 
 

@@ -1,17 +1,18 @@
 """Linear codes over prime fields and the partition-based broadcast schemes.
 
 A broadcast code is an l x m matrix over GF(q): each row is one coded
-transmission, columns are messages.  For a complete-S instance the scheme
-serves the smallest sizes of S uncoded (plain unit rows) and the rest with
-one MDS block whose row count equals the largest number of messages any of
-those users can miss.
+transmission, columns are messages.  `LinearCode` checks its field and
+entries once, when built, so decoding (`verifier`) re-checks nothing.  For a
+complete-S instance the scheme serves the smallest sizes of S uncoded (plain
+unit rows) and the rest with one MDS block whose row count equals the
+largest number of messages any of those users can miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FieldTooSmall
 from .instance import SizeProfile, _as_sizes, _json_field
@@ -44,38 +45,6 @@ def smallest_prime_at_least(n: int) -> int:
 def _check_field(q: int) -> None:
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-
-
-# ---------- exact linear algebra mod q ----------
-
-
-def gf_rref(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over GF(q); returns (nonzero rows, pivot columns)."""
-    _check_field(q)
-    mat = [[x % q for x in r] for r in rows]
-    if not mat:
-        return (), ()
-    width = len(mat[0])
-    if any(len(r) != width for r in mat):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
 # ---------- codes ----------

@@ -6,9 +6,9 @@ finds every such d at once: a decoded e_d already lies in that span, so
 adding it as side information leaves the span, and what it decodes, unchanged.
 A column outside the code's support is all zero: it is never a pivot, so
 never decoded, and dropping it from K leaves the projected row space as it
-is.  Users with the same `known & support` thus share one elimination.
-Over GF(2) that elimination XORs int row masks into a fully reduced basis,
-whose unit rows are those of the unique reduced echelon form `gf_rref` finds.
+is.  Users with the same `known & support` thus share one elimination, the
+same for every field: XOR on int row masks over GF(2), arithmetic mod q on
+coefficient lists otherwise.
 
 An `Instance` is valid by construction, so only `decodable_closure`, which
 takes any `known`, range-checks its argument.
@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import combinations, product
 from typing import Iterator
 
-from .coding import LinearCode, gf_rref
+from .coding import LinearCode
 from .errors import CapExceeded
 from .instance import Assignment, Instance
 
@@ -29,18 +29,18 @@ from .instance import Assignment, Instance
 def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]:
     """All messages outside `known` that the user can decode.
 
-    Projecting the rows onto the unknown columns turns the span test into a
-    membership test in the projected row space, where a unit vector lies
-    exactly when it is a row of the reduced echelon form.  The result is
-    closed: a decoded e_d is already in span(X, e_K), so knowing d as well
-    decodes nothing new, and one elimination suffices.  Over GF(2), `basis`
-    maps each pivot bit (the lowest unknown bit of its row) to that row, kept
-    clear at every other pivot bit: the unique reduced echelon form, so
-    `r == bit` is the `gf_rref` route's unit-row test.
+    The rows, projected onto the unknown columns, are reduced into `basis`:
+    it maps each pivot column to a row that is 1 there and 0 at every other
+    pivot, the unique reduced echelon form of the projected row space.  A
+    vector of that space is the sum of the basis rows weighted by its pivot
+    entries, so e_d lies in it exactly when the row of pivot d has no other
+    nonzero entry.  The result is closed: a decoded e_d is already in
+    span(X, e_K), so knowing d as well decodes nothing new.
     """
     if known and (min(known) < 0 or max(known) >= code.m):
         raise ValueError("known message outside column range")
     if code.q == 2:
+        # a row is its support mask, and its pivot is its lowest unknown bit
         unknown_mask = ~sum(1 << x for x in known)
         basis: dict[int, int] = {}
         for r in code.masks:
@@ -50,13 +50,28 @@ def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]
                     r ^= b
             if r:
                 bit = r & -r
-                basis = {c: b ^ r if b & bit else b for c, b in basis.items()}
+                for c, b in basis.items():
+                    if b & bit:
+                        basis[c] = b ^ r
                 basis[bit] = r
         return frozenset(bit.bit_length() - 1 for bit, r in basis.items() if r == bit)
+    q = code.q
     unknown = [c for c in range(code.m) if c not in known]
-    projected = [[row[c] for c in unknown] for row in code.rows]
-    rref, pivots = gf_rref(projected, code.q)
-    return frozenset(unknown[p] for r, p in zip(rref, pivots) if not any(r[p + 1 :]))
+    basis: dict[int, list[int]] = {}
+    for row in code.rows:
+        r = [row[c] for c in unknown]
+        for p, b in basis.items():
+            if f := r[p]:
+                r = [(x - f * y) % q for x, y in zip(r, b)]
+        p = next((i for i, x in enumerate(r) if x), -1)
+        if p >= 0:
+            inv = pow(r[p], -1, q)
+            r = [x * inv % q for x in r]
+            for c, b in basis.items():
+                if f := b[p]:
+                    basis[c] = [(x - f * y) % q for x, y in zip(b, r)]
+            basis[p] = r
+    return frozenset(unknown[p] for p, r in basis.items() if r.count(0) == len(r) - 1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from picod.bounds import (
     MAIS_PARTIAL,
     MIDDLE_BAND,
     SINGLETON,
-    SMALL_M_TABLE,
     BoundReport,
     best_chain_bound,
     chain_bound,
@@ -22,7 +21,6 @@ from picod.bounds import (
     full_report,
     mais,
     min_mais_lower_bound,
-    small_m_table_rows,
 )
 from picod.coding import LinearCode, build_partition_scheme, optimal_partition
 from picod.errors import SearchOverflow
@@ -451,9 +449,9 @@ class TestClosedForm:
     def test_rule_examples(self):
         assert closed_form_length(5, 1, {1, 2, 3}) == (4, CONSECUTIVE)
         assert closed_form_length(6, 1, {0, 1, 4, 5}) == (4, COMPLEMENT_CONSECUTIVE)
-        assert closed_form_length(5, 1, {1, 3}) == (4, SMALL_M_TABLE)
-        # 0 and m - t both present with a consecutive complement, so the
-        # complement rule fires before the table; the values agree
+        # no theorem of the paper covers this profile
+        assert closed_form_length(5, 1, {1, 3}) is None
+        # 0 and m - t both present with a consecutive complement
         assert closed_form_length(4, 2, {0, 2}) == (4, COMPLEMENT_CONSECUTIVE)
         assert closed_form_length(5, 1, {2}) == (3, SINGLETON)
         assert closed_form_length(5, 1, {0, 2}) == (3, BELOW_MIDDLE)
@@ -480,20 +478,6 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_length(4, 2, {3})
 
-    def test_table_rows_match_partition_cost(self):
-        rows = small_m_table_rows()
-        assert len(rows) == 13
-        # two rows double as complement-consecutive profiles and report
-        # under that rule; every other row is reachable only via the table
-        shadowed = {(4, frozenset({0, 2}), 2), (5, frozenset({0, 3}), 2)}
-        for m, sizes, t, value in rows:
-            got = closed_form_length(m, t, sizes)
-            if (m, sizes, t) in shadowed:
-                assert got == (value, COMPLEMENT_CONSECUTIVE)
-            else:
-                assert got == (value, SMALL_M_TABLE)
-            assert optimal_partition(m, t, sizes).total_cost == value
-
     def test_every_closed_form_equals_partition_cost(self):
         # every profile with m <= 10 that some rule covers
         covered = 0
@@ -506,7 +490,7 @@ class TestClosedForm:
                         if got is not None:
                             covered += 1
                             assert got[0] == optimal_partition(m, t, sizes).total_cost
-        assert covered == 1344
+        assert covered == 1333
 
 
 class TestBoundReport:
@@ -542,7 +526,8 @@ class TestFullReport:
     def test_four_messages_table_row(self):
         rep = full_report(build_complete_s(4, 1, {0, 2}))
         assert (rep.lower_bound, rep.achieved, rep.tight) == (3, 3, True)
-        assert rep.closed_form == (3, SMALL_M_TABLE)
+        # no theorem of the paper covers S = {0, 2} at m = 4
+        assert rep.closed_form is None
 
     def test_trivial_instance(self):
         rep = full_report(build_complete_s(2, 1, {0}))
@@ -554,7 +539,7 @@ class TestFullReport:
         assert rep.achieved == 4
         assert not rep.tight
         assert rep.lower_bound_method == MAIS_EXACT
-        assert rep.closed_form == (4, SMALL_M_TABLE)
+        assert rep.closed_form is None
 
     def test_spent_budget_reports_partial_bound(self):
         inst = build_complete_s(5, 1, {0, 2, 3})

@@ -1,4 +1,4 @@
-"""Field arithmetic, code containers, and partition schemes."""
+"""Field arithmetic, the reduced basis over GF(q), code containers, and partition schemes."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from picod.coding import (
     LinearCode,
     build_partition_scheme,
-    gf_rref,
     is_prime,
     mds_rows,
     optimal_partition,
@@ -15,11 +14,8 @@ from picod.coding import (
     unit_rows,
 )
 from picod.errors import FieldTooSmall
-from util import brute_in_span, seeded
-
-
-def rank(rows, q):
-    return len(gf_rref(rows, q)[0])
+from picod.verifier import decodable_closure
+from util import brute_det, seeded
 
 
 class TestPrimes:
@@ -36,73 +32,49 @@ class TestPrimes:
 
 
 class TestLinearAlgebra:
+    """The package's one elimination over GF(q) is the reduced basis that
+    `decodable_closure` builds; these cases pin it by what it decodes."""
+
     def test_rref_hand_case_gf2(self):
-        rows, pivots = gf_rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2)
-        assert rows == ((1, 0, 1), (0, 1, 1))
-        assert pivots == (0, 1)
+        # reduced echelon form (1, 0, 1), (0, 1, 1): no unit row until e_2 is known
+        code = LinearCode(2, 3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        assert decodable_closure(code, frozenset()) == frozenset()
+        assert decodable_closure(code, frozenset({2})) == frozenset({0, 1})
 
     def test_rref_hand_case_gf3(self):
-        rows, pivots = gf_rref([[2, 1], [1, 1]], 3)
-        assert rows == ((1, 0), (0, 1))
-        assert pivots == (0, 1)
-        # det = 2*2 - 1*1 = 3 vanishes mod 3
-        assert rank([[2, 1], [1, 2]], 3) == 1
+        assert decodable_closure(LinearCode(3, 2, ((2, 1), (1, 1))), frozenset()) == {0, 1}
+        # det = 2*2 - 1*1 = 3 vanishes mod 3: rank 1, reduced row (1, 2)
+        code = LinearCode(3, 2, ((2, 1), (1, 2)))
+        assert decodable_closure(code, frozenset()) == frozenset()
+        assert decodable_closure(code, frozenset({0})) == {1}
 
     def test_rref_zero_and_empty(self):
-        assert gf_rref([], 2) == ((), ())
-        assert gf_rref([[0, 0]], 5) == ((), ())
-
-    def test_rref_idempotent(self):
-        rng = seeded(3)
-        for _ in range(40):
-            q = rng.choice([2, 3, 5])
-            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(3)]
-            once, piv = gf_rref(rows, q)
-            again = gf_rref(once, q)
-            assert again == (once, piv) or not once
+        assert decodable_closure(LinearCode(5, 2, ()), frozenset()) == frozenset()
+        assert decodable_closure(LinearCode(5, 2, ((0, 0),)), frozenset()) == frozenset()
 
     def test_rank_bounds_and_row_shuffle(self):
+        # the reduced basis is unique, so neither row order nor a nonzero
+        # scale of a row changes what it decodes, and no row decodes two
         rng = seeded(4)
-        for _ in range(40):
-            q = rng.choice([2, 3])
-            rows = [[rng.randrange(q) for _ in range(3)] for _ in range(4)]
-            r = rank(rows, q)
-            assert 0 <= r <= 3
-            shuffled = rows[:]
-            rng.shuffle(shuffled)
-            assert rank(shuffled, q) == r
-
-    def test_in_span_matches_enumeration(self):
-        rng = seeded(5)
         for _ in range(60):
-            q = rng.choice([2, 3])
-            m = rng.randint(1, 4)
-            rows = [[rng.randrange(q) for _ in range(m)] for _ in range(rng.randint(1, 3))]
-            vec = [rng.randrange(q) for _ in range(m)]
-            in_span = rank(rows + [vec], q) == rank(rows, q)
-            assert in_span == brute_in_span(vec, rows, q)
-
-    def test_unreduced_entries_are_taken_mod_q(self):
-        # gf_rref eliminates on a reduced copy, so negative and oversized
-        # ints mean their residues, and the caller's rows stay untouched
-        rng = seeded(6)
-        for _ in range(40):
             q = rng.choice([2, 3, 5])
-            raw = [[rng.randint(-2 * q, 2 * q) for _ in range(3)] for _ in range(3)]
-            before = [row[:] for row in raw]
-            reduced = [[x % q for x in row] for row in raw]
-            assert gf_rref(raw, q) == gf_rref(reduced, q)
-            assert raw == before
-            in_span = rank(raw, q) == rank(raw[1:], q)
-            assert in_span == brute_in_span(reduced[0], reduced[1:], q)
+            m = rng.randint(1, 5)
+            rows = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(rng.randint(0, 4))]
+            known = frozenset(rng.sample(range(m), rng.randint(0, m)))
+            got = decodable_closure(LinearCode(q, m, tuple(rows)), known)
+            assert len(got) <= len(rows)
+            rng.shuffle(rows)
+            factors = [rng.randrange(1, q) for _ in rows]
+            scaled = tuple(tuple(x * f % q for x in r) for r, f in zip(rows, factors))
+            assert decodable_closure(LinearCode(q, m, scaled), known) == got
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            gf_rref([[1, 0], [1]], 2)
+            LinearCode(2, 2, ((1, 0), (1,)))
 
     def test_non_prime_field_rejected(self):
         with pytest.raises(ValueError):
-            gf_rref([[1]], 4)
+            LinearCode(4, 1, ((1,),))
 
 
 class TestLinearCode:
@@ -148,14 +120,20 @@ class TestMatrixBuilders:
         with pytest.raises(ValueError):
             unit_rows(4, 3)
 
+    def test_brute_det_hand_cases(self):
+        # the minor checks below rest on it: det [[2, 1], [1, 2]] = 3
+        assert brute_det([[2, 1], [1, 2]], 3) == 0
+        assert brute_det([[2, 1], [1, 2]], 5) == 3
+        assert brute_det([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 7) == 6
+        assert brute_det([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 5) == 0
+
     @pytest.mark.parametrize("q,m", [(5, 4), (5, 5), (7, 6), (3, 3)])
     def test_mds_every_minor_invertible(self, q, m):
         for k in range(1, m + 1):
             rows = mds_rows(k, m, q)
             assert len(rows) == k and all(len(r) == m for r in rows)
             for cols in itertools.combinations(range(m), k):
-                minor = [[row[c] for c in cols] for row in rows]
-                assert not _brute_singular(minor, q), (k, cols)
+                assert brute_det([[row[c] for c in cols] for row in rows], q), (k, cols)
 
     @pytest.mark.parametrize(
         "k,m,q",
@@ -166,24 +144,11 @@ class TestMatrixBuilders:
         # blocks the partition schemes build, checked here once
         rows = mds_rows(k, m, q)
         for cols in itertools.combinations(range(m), k):
-            assert rank([[row[c] for c in cols] for row in rows], q) == k, cols
+            assert brute_det([[row[c] for c in cols] for row in rows], q), cols
 
     def test_mds_needs_large_field(self):
         with pytest.raises(FieldTooSmall):
             mds_rows(2, 4, 3)
-
-
-def _brute_singular(matrix, q):
-    """Square matrix is singular iff some non-zero combo of rows vanishes."""
-    k = len(matrix)
-    width = len(matrix[0])
-    for coeffs in itertools.product(range(q), repeat=k):
-        if not any(coeffs):
-            continue
-        combo = [sum(c * row[j] for c, row in zip(coeffs, matrix)) % q for j in range(width)]
-        if not any(combo):
-            return True
-    return False
 
 
 def split(m, t, sizes):

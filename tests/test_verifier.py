@@ -5,7 +5,7 @@ import time
 import pytest
 
 import picod.verifier
-from picod.coding import LinearCode, build_partition_scheme, gf_rref, optimal_partition
+from picod.coding import LinearCode, build_partition_scheme, optimal_partition
 from picod.errors import CapExceeded
 from picod.instance import Instance, build_complete_s
 from picod.verifier import (
@@ -80,41 +80,44 @@ class TestClosure:
             assert decodable_closure(code, closed) == frozenset()
 
 
-def _rref_closure(code, known):
-    """Decoded set by the general-q route: project onto the unknown columns,
-    reduce with gf_rref, keep the pivots of rows that are unit vectors."""
-    unknown = [c for c in range(code.m) if c not in known]
-    projected = [[row[c] for c in unknown] for row in code.rows]
-    rref, pivots = gf_rref(projected, code.q)
-    return frozenset(unknown[p] for r, p in zip(rref, pivots) if not any(r[p + 1 :]))
+def _scalar_multiples(a, b, q):
+    """Nonzero rows a and b with a = f * b for some nonzero f."""
+    return any(a) and any(tuple(f * x % q for x in b) == a for f in range(1, q))
 
 
-class TestBinaryClosure:
-    def test_matches_enumeration_and_rref_route(self):
-        # GF(2) eliminates on row masks; zero rows, duplicate rows and zero
-        # columns are the cases where a mask kernel can slip
+class TestReducedBasis:
+    def test_matches_enumeration_over_every_field(self):
+        # one pivot-keyed reduction serves every field; zero rows, scalar
+        # multiples, zero columns and leading entries other than 1 are the
+        # cases where a row kernel can slip
         rng = seeded(26)
-        seen = {"zero row": 0, "duplicate row": 0, "zero column": 0}
-        for _ in range(300):
-            m, ell = rng.randint(1, 9), rng.randint(0, 6)
-            zero_cols = set(rng.sample(range(m), rng.randint(0, m // 2)))
-            rows = [
-                tuple(0 if c in zero_cols else rng.randrange(2) for c in range(m))
-                for _ in range(ell)
-            ]
-            if ell and rng.random() < 0.3:
-                rows[rng.randrange(ell)] = (0,) * m
-            if ell >= 2 and rng.random() < 0.3:
-                rows[rng.randrange(ell)] = rows[rng.randrange(ell)]
-            code = LinearCode(2, m, tuple(rows))
-            seen["zero row"] += (0,) * m in rows
-            seen["duplicate row"] += len(set(rows)) < ell
-            seen["zero column"] += any(not any(col) for col in zip(*rows))
-            known = frozenset(rng.sample(range(m), rng.randint(0, m)))
-            got = decodable_closure(code, known)
-            assert got == brute_closure(2, code.rows, m, known) - known
-            assert got == _rref_closure(code, known)
-        assert min(seen.values()) >= 50, seen
+        for q, m_max, ell_max, trials in [(2, 9, 6, 200), (3, 5, 4, 150), (5, 4, 3, 80)]:
+            seen = {"zero row": 0, "scalar multiple": 0, "zero column": 0, "leading entry not 1": 0}
+            for _ in range(trials):
+                m, ell = rng.randint(1, m_max), rng.randint(0, ell_max)
+                zero_cols = set(rng.sample(range(m), rng.randint(0, m // 2)))
+                rows = [
+                    tuple(0 if c in zero_cols else rng.randrange(q) for c in range(m))
+                    for _ in range(ell)
+                ]
+                if ell and rng.random() < 0.3:
+                    rows[rng.randrange(ell)] = (0,) * m
+                if ell >= 2 and rng.random() < 0.4:
+                    i, j, f = *rng.sample(range(ell), 2), rng.randrange(1, q)
+                    rows[i] = tuple(f * x % q for x in rows[j])
+                code = LinearCode(q, m, tuple(rows))
+                seen["zero row"] += (0,) * m in rows
+                seen["scalar multiple"] += any(
+                    _scalar_multiples(a, b, q) for i, a in enumerate(rows) for b in rows[:i]
+                )
+                seen["zero column"] += any(not any(col) for col in zip(*rows))
+                seen["leading entry not 1"] += any(next((x for x in r if x), 1) != 1 for r in rows)
+                known = frozenset(rng.sample(range(m), rng.randint(0, m)))
+                got = decodable_closure(code, known)
+                assert got == brute_closure(q, code.rows, m, known) - known, (q, rows, known)
+            if q == 2:
+                del seen["leading entry not 1"]
+            assert min(seen.values()) >= trials // 6, (q, seen)
 
 
 class TestIsValid:
@@ -240,8 +243,11 @@ class TestRowSpaces:
         seen = set()
         for rows in iter_row_spaces(m, ell, q):
             assert len(rows) == ell
-            echelon, _ = gf_rref(rows, q)
-            assert echelon == rows
+            # reduced echelon: leading 1s move right, each alone in its column
+            pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+            assert pivots == sorted(set(pivots))
+            for p in pivots:
+                assert [r[p] for r in rows] == [int(p == c) for c in pivots]
             seen.add(rows)
         assert len(seen) == gaussian_binomial(m, ell, q)
 

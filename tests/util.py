@@ -39,8 +39,15 @@ def span_vectors(rows, q):
     return seen
 
 
-def brute_in_span(vector, rows, q):
-    return tuple(vector) in span_vectors(list(rows), q)
+def brute_det(matrix, q):
+    """Determinant mod q of a square matrix, as the Leibniz sum over every
+    permutation, signed by its inversion count."""
+    k = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(matrix, perm))
+    return total % q
 
 
 def brute_closure(q, rows, m, known):

@@ -10,8 +10,7 @@ largest number of messages any of those users can miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import FieldTooSmall
@@ -53,30 +52,34 @@ def _check_field(q: int) -> None:
 @dataclass(frozen=True)
 class LinearCode:
     """An l x m broadcast matrix over GF(q).  m is kept explicit so the
-    zero-row code still knows its width."""
+    zero-row code still knows its width.  `masks`, the row supports as
+    bitmasks (the GF(2) rows), derives from `rows`: never passed or compared."""
 
     q: int
     m: int
     rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_field(self.q)
         if self.m < 0:
             raise ValueError("negative width")
+        q, masks = self.q, []
         for r in self.rows:
             if len(r) != self.m:
                 raise ValueError(f"row of length {len(r)}, expected {self.m}")
-            if any(x < 0 or x >= self.q for x in r):
-                raise ValueError("entry outside field range")
+            mask = 0
+            for c, x in enumerate(r):
+                if x:
+                    if not 0 < x < q:
+                        raise ValueError("entry outside field range")
+                    mask |= 1 << c
+            masks.append(mask)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def ell(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Row supports as bitmasks, the rows themselves over GF(2); not a field."""
-        return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in self.rows)
 
     def wire(self) -> dict:
         return {"q": self.q, "rows": [list(r) for r in self.rows]}

@@ -6,10 +6,11 @@ class PicodError(Exception):
 
 
 class CapExceeded(PicodError):
-    """A search or enumeration would exceed its configured cap.
+    """An input size exceeds its cap, refused before any work starts.
 
     Carries the exact size that was refused so callers can report it or
-    rerun with a deliberately raised cap.
+    rerun with a deliberately raised cap.  Searches that run out of work
+    budget raise SearchOverflow instead.
     """
 
     def __init__(self, what: str, size: int, cap: int):

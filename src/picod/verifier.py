@@ -8,7 +8,7 @@ A column outside the code's support is all zero: it is never a pivot, so
 never decoded, and dropping it from K leaves the projected row space as it
 is.  Users with the same `known & support` thus share one elimination, the
 same for every field: XOR on int row masks over GF(2), arithmetic mod q on
-coefficient lists otherwise.
+coefficient lists otherwise.  `known` is that memo key, an int mask.
 
 An `Instance` is valid by construction, so only `decodable_closure`, which
 takes any `known`, range-checks its argument.
@@ -22,12 +22,13 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .coding import LinearCode
-from .errors import CapExceeded
+from .errors import SearchOverflow
 from .instance import Assignment, Instance
 
 
-def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]:
-    """All messages outside `known` that the user can decode.
+def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
+    """All messages outside the mask `known` (bit x = message x) that the
+    user can decode.
 
     The rows, projected onto the unknown columns, are reduced into `basis`:
     it maps each pivot column to a row that is 1 there and 0 at every other
@@ -37,14 +38,13 @@ def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]
     nonzero entry.  The result is closed: a decoded e_d is already in
     span(X, e_K), so knowing d as well decodes nothing new.
     """
-    if known and (min(known) < 0 or max(known) >= code.m):
+    if known < 0 or known >> code.m:
         raise ValueError("known message outside column range")
     if code.q == 2:
         # a row is its support mask, and its pivot is its lowest unknown bit
-        unknown_mask = ~sum(1 << x for x in known)
         basis: dict[int, int] = {}
         for r in code.masks:
-            r &= unknown_mask
+            r &= ~known
             for bit, b in basis.items():
                 if r & bit:
                     r ^= b
@@ -56,7 +56,7 @@ def decodable_closure(code: LinearCode, known: frozenset[int]) -> frozenset[int]
                 basis[bit] = r
         return frozenset(bit.bit_length() - 1 for bit, r in basis.items() if r == bit)
     q = code.q
-    unknown = [c for c in range(code.m) if c not in known]
+    unknown = [c for c in range(code.m) if not known >> c & 1]
     basis: dict[int, list[int]] = {}
     for row in code.rows:
         r = [row[c] for c in unknown]
@@ -103,9 +103,9 @@ def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
     """Each user's decoded set, one elimination per `known & support`."""
     support = reduce(int.__or__, code.masks, 0)
     memo: dict[int, frozenset[int]] = {}
-    for a, mask in zip(inst.users, inst.masks):
+    for mask in inst.masks:
         if (key := mask & support) not in memo:
-            memo[key] = decodable_closure(code, a)
+            memo[key] = decodable_closure(code, key)
         yield memo[key]
 
 
@@ -141,18 +141,6 @@ def induced_assignment(code: LinearCode, inst: Instance) -> Assignment:
 # ---------- exhaustive search over row spaces ----------
 
 
-def gaussian_binomial(m: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^m."""
-    if k < 0 or k > m:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (m - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
 def iter_row_spaces(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """One canonical reduced-echelon basis per ell-dimensional row space."""
     if ell == 0:
@@ -176,27 +164,30 @@ def iter_row_spaces(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...],
             yield tuple(tuple(row) for row in rows)
 
 
-DEFAULT_SPACE_CAP = 10**6
+DEFAULT_CODE_NODE_CAP = 10**6
 
 
 def min_linear_length_exhaustive(
     inst: Instance,
     q: int = 2,
     ell_max: int | None = None,
-    space_cap: int = DEFAULT_SPACE_CAP,
+    node_cap: int = DEFAULT_CODE_NODE_CAP,
 ) -> tuple[int, LinearCode] | None:
     """Smallest number of rows of any valid GF(q) code, by trying every row
     space of each dimension in increasing order.
 
     Returns (length, witness code) or None when nothing up to ell_max works.
+    Each code tried spends one of node_cap nodes; past them SearchOverflow's
+    `proven` is the length being tried, as every shorter one is refuted.
     """
     if ell_max is None:
         ell_max = inst.m
+    budget = node_cap
     for ell in range(0, min(ell_max, inst.m) + 1):
-        count = gaussian_binomial(inst.m, ell, q)
-        if count > space_cap:
-            raise CapExceeded(f"row spaces of dimension {ell}", count, space_cap)
         for rows in iter_row_spaces(inst.m, ell, q):
+            if budget <= 0:
+                raise SearchOverflow(f"code search exceeded {node_cap} candidate codes", proven=ell)
+            budget -= 1
             code = LinearCode(q, inst.m, rows)
             if _satisfies(code, inst):
                 return ell, code

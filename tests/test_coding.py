@@ -1,5 +1,6 @@
 """Field arithmetic, the reduced basis over GF(q), code containers, and partition schemes."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -16,6 +17,11 @@ from picod.coding import (
 from picod.errors import FieldTooSmall
 from picod.verifier import decodable_closure
 from util import brute_det, seeded
+
+
+def closure(code, known):
+    """`decodable_closure` on a set of known messages, passed as its mask."""
+    return decodable_closure(code, sum(1 << x for x in known))
 
 
 class TestPrimes:
@@ -38,19 +44,19 @@ class TestLinearAlgebra:
     def test_rref_hand_case_gf2(self):
         # reduced echelon form (1, 0, 1), (0, 1, 1): no unit row until e_2 is known
         code = LinearCode(2, 3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
-        assert decodable_closure(code, frozenset()) == frozenset()
-        assert decodable_closure(code, frozenset({2})) == frozenset({0, 1})
+        assert closure(code, frozenset()) == frozenset()
+        assert closure(code, frozenset({2})) == frozenset({0, 1})
 
     def test_rref_hand_case_gf3(self):
-        assert decodable_closure(LinearCode(3, 2, ((2, 1), (1, 1))), frozenset()) == {0, 1}
+        assert closure(LinearCode(3, 2, ((2, 1), (1, 1))), frozenset()) == {0, 1}
         # det = 2*2 - 1*1 = 3 vanishes mod 3: rank 1, reduced row (1, 2)
         code = LinearCode(3, 2, ((2, 1), (1, 2)))
-        assert decodable_closure(code, frozenset()) == frozenset()
-        assert decodable_closure(code, frozenset({0})) == {1}
+        assert closure(code, frozenset()) == frozenset()
+        assert closure(code, frozenset({0})) == {1}
 
     def test_rref_zero_and_empty(self):
-        assert decodable_closure(LinearCode(5, 2, ()), frozenset()) == frozenset()
-        assert decodable_closure(LinearCode(5, 2, ((0, 0),)), frozenset()) == frozenset()
+        assert closure(LinearCode(5, 2, ()), frozenset()) == frozenset()
+        assert closure(LinearCode(5, 2, ((0, 0),)), frozenset()) == frozenset()
 
     def test_rank_bounds_and_row_shuffle(self):
         # the reduced basis is unique, so neither row order nor a nonzero
@@ -61,12 +67,12 @@ class TestLinearAlgebra:
             m = rng.randint(1, 5)
             rows = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(rng.randint(0, 4))]
             known = frozenset(rng.sample(range(m), rng.randint(0, m)))
-            got = decodable_closure(LinearCode(q, m, tuple(rows)), known)
+            got = closure(LinearCode(q, m, tuple(rows)), known)
             assert len(got) <= len(rows)
             rng.shuffle(rows)
             factors = [rng.randrange(1, q) for _ in rows]
             scaled = tuple(tuple(x * f % q for x in r) for r, f in zip(rows, factors))
-            assert decodable_closure(LinearCode(q, m, scaled), known) == got
+            assert closure(LinearCode(q, m, scaled), known) == got
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -104,6 +110,17 @@ class TestLinearCode:
         assert read.masks == (0b11,)
         assert read == fresh and hash(read) == hash(fresh)
         assert read.wire() == wire == {"q": 3, "rows": [[1, 2, 0]]}
+        assert repr(read) == "LinearCode(q=3, m=3, rows=((1, 2, 0),))"
+        with pytest.raises(TypeError):
+            LinearCode(3, 3, ((1, 2, 0),), masks=(0b11,))
+        # replace() re-runs construction, so new rows bring their own masks
+        moved = dataclasses.replace(read, rows=((0, 0, 2), (1, 0, 1)))
+        want = LinearCode(3, 3, ((0, 0, 2), (1, 0, 1)))
+        assert moved.masks == (0b100, 0b101) and read.masks == (0b11,)
+        assert moved == want and hash(moved) == hash(want) and moved != read
+        assert moved.wire() == {"q": 3, "rows": [[0, 0, 2], [1, 0, 1]]}
+        with pytest.raises(ValueError):
+            dataclasses.replace(read, rows=((0, 3, 0),))
 
     def test_construction_rejects_bad_entries(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library and parses on
+the oldest Python that `pyproject.toml` admits."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "picod").glob("*.py"))
 
 
@@ -41,3 +44,36 @@ def test_import_starts_no_process_machinery():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _oldest_python() -> tuple[int, int]:
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_oldest_python_is_three_ten():
+    assert _oldest_python() == (3, 10)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_on_oldest_python(path):
+    # rejects syntax newer than requires-python, such as `except*` (3.11)
+    # or `type` aliases and generic classes (3.12)
+    ast.parse(path.read_text(), filename=str(path), feature_version=_oldest_python())
+
+
+@pytest.mark.parametrize(
+    "snippet,since",
+    [
+        ("try:\n    pass\nexcept* ValueError:\n    pass\n", (3, 11)),
+        ("type Rows = tuple[int, ...]\n", (3, 12)),
+        ("class Box[T]:\n    pass\n", (3, 12)),
+    ],
+    ids=["except-star", "type-alias", "generic-class"],
+)
+def test_oldest_python_check_rejects_newer_syntax(snippet, since):
+    if sys.version_info >= since:
+        ast.parse(snippet)  # the snippet is valid where its syntax exists
+    with pytest.raises(SyntaxError):
+        ast.parse(snippet, feature_version=_oldest_python())

@@ -1,22 +1,40 @@
 """Decodability closure, validity reports, and exhaustive code search."""
 
 import time
+from functools import reduce
 
 import pytest
 
 import picod.verifier
+from picod.bounds import mais, min_mais_lower_bound
 from picod.coding import LinearCode, build_partition_scheme, optimal_partition
-from picod.errors import CapExceeded
+from picod.errors import SearchOverflow
+from picod.hypergraph import has_one_factor, network_topology
 from picod.instance import Instance, build_complete_s
 from picod.verifier import (
     decodable_closure,
-    gaussian_binomial,
     induced_assignment,
     is_valid,
     iter_row_spaces,
     min_linear_length_exhaustive,
 )
-from util import brute_closure, brute_code_valid, random_instance, seeded
+from util import (
+    brute_closure,
+    brute_code_valid,
+    brute_row_space_count,
+    random_instance,
+    seeded,
+)
+
+
+def _mask(known):
+    """Side information as the int mask `decodable_closure` takes."""
+    return sum(1 << x for x in known)
+
+
+def closure(code, known):
+    """`decodable_closure` on a set of known messages."""
+    return decodable_closure(code, _mask(known))
 
 
 def _random_code(rng, q, m, ell):
@@ -35,24 +53,57 @@ class TestClosure:
             code = _random_code(rng, q, m, rng.randint(0, 3))
             known = frozenset(rng.sample(range(m), rng.randint(0, m)))
             want = brute_closure(q, code.rows, m, known) - known
-            assert decodable_closure(code, known) == want
+            assert closure(code, known) == want
 
     def test_no_rows_decodes_nothing(self):
         code = LinearCode(2, 3, ())
-        assert decodable_closure(code, frozenset()) == frozenset()
+        assert closure(code, frozenset()) == frozenset()
 
     def test_full_knowledge_decodes_nothing_new(self):
         code = LinearCode(2, 2, ((1, 1),))
-        assert decodable_closure(code, frozenset({0, 1})) == frozenset()
+        assert closure(code, frozenset({0, 1})) == frozenset()
 
     def test_iteration_unlocks_chains(self):
         # row 2 alone is useless until row 1 reveals message 1
         code = LinearCode(2, 3, ((1, 0, 0), (1, 1, 1)))
-        assert decodable_closure(code, frozenset({2})) == frozenset({0, 1})
+        assert closure(code, frozenset({2})) == frozenset({0, 1})
 
     def test_known_outside_range_rejected(self):
         with pytest.raises(ValueError):
-            decodable_closure(LinearCode(2, 2, ()), frozenset({2}))
+            decodable_closure(LinearCode(2, 2, ()), 0b100)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("known", [1 << 3, 1 << 4, 0b1001, 1 << 40, -1, -(1 << 3)])
+    def test_mask_outside_columns_rejected(self, q, known):
+        # bit m or above names no message, and a negative int has infinitely
+        # many set bits; neither may pass as side information
+        code = LinearCode(q, 3, ((1, 1, 0),))
+        with pytest.raises(ValueError, match="outside column range"):
+            decodable_closure(code, known)
+
+    def test_full_mask_is_in_range(self):
+        assert decodable_closure(LinearCode(3, 3, ((1, 2, 0),)), 0b111) == frozenset()
+        assert decodable_closure(LinearCode(2, 0, ()), 0) == frozenset()
+
+    def test_support_key_matches_full_mask(self):
+        # `_closures` passes `mask & support`, not the user's whole mask:
+        # columns outside the support are zero, so both decode the same
+        rng = seeded(27)
+        for q in (2, 3, 5):
+            for _ in range(40):
+                m = rng.randint(1, 6 if q == 2 else 4)
+                zero = set(rng.sample(range(m), rng.randint(0, m - 1)))
+                rows = tuple(
+                    tuple(0 if c in zero else rng.randrange(q) for c in range(m))
+                    for _ in range(rng.randint(0, 3))
+                )
+                code = LinearCode(q, m, rows)
+                support = reduce(int.__or__, code.masks, 0)
+                known = frozenset(rng.sample(range(m), rng.randint(0, m)))
+                mask = _mask(known)
+                want = brute_closure(q, rows, m, known) - known
+                assert decodable_closure(code, mask & support) == want, (q, rows, known)
+                assert decodable_closure(code, mask) == want, (q, rows, known)
 
     def test_monotone_in_side_information(self):
         rng = seeded(22)
@@ -63,8 +114,8 @@ class TestClosure:
             small = frozenset(rng.sample(range(m), rng.randint(0, m - 1)))
             extra = frozenset(rng.sample(range(m), rng.randint(0, m)))
             big = small | extra
-            got_small = decodable_closure(code, small) | small
-            got_big = decodable_closure(code, big) | big
+            got_small = closure(code, small) | small
+            got_big = closure(code, big) | big
             assert got_small <= got_big
 
     def test_fixpoint_is_exhausted(self):
@@ -76,8 +127,8 @@ class TestClosure:
             m = rng.randint(2, 7)
             code = _random_code(rng, q, m, rng.randint(1, 3))
             known = frozenset(rng.sample(range(m), rng.randint(0, m)))
-            closed = known | decodable_closure(code, known)
-            assert decodable_closure(code, closed) == frozenset()
+            closed = known | closure(code, known)
+            assert closure(code, closed) == frozenset()
 
 
 def _scalar_multiples(a, b, q):
@@ -113,7 +164,7 @@ class TestReducedBasis:
                 seen["zero column"] += any(not any(col) for col in zip(*rows))
                 seen["leading entry not 1"] += any(next((x for x in r if x), 1) != 1 for r in rows)
                 known = frozenset(rng.sample(range(m), rng.randint(0, m)))
-                got = decodable_closure(code, known)
+                got = closure(code, known)
                 assert got == brute_closure(q, code.rows, m, known) - known, (q, rows, known)
             if q == 2:
                 del seen["leading entry not 1"]
@@ -231,12 +282,11 @@ class TestInducedAssignment:
 
 class TestRowSpaces:
     def test_gaussian_binomial_values(self):
-        assert gaussian_binomial(3, 1, 2) == 7
-        assert gaussian_binomial(3, 2, 2) == 7
-        assert gaussian_binomial(4, 2, 2) == 35
-        assert gaussian_binomial(2, 1, 3) == 4
-        assert gaussian_binomial(3, 0, 2) == 1
-        assert gaussian_binomial(2, 3, 2) == 0
+        # the number of ell-dimensional subspaces of GF(q)^m, by hand
+        for m, ell, q, count in [
+            (3, 1, 2, 7), (3, 2, 2, 7), (4, 2, 2, 35), (2, 1, 3, 4), (3, 0, 2, 1), (2, 3, 2, 0),
+        ]:
+            assert len(list(iter_row_spaces(m, ell, q))) == count, (m, ell, q)
 
     @pytest.mark.parametrize("m,ell,q", [(3, 1, 2), (3, 2, 2), (4, 2, 2), (2, 1, 3), (3, 3, 2)])
     def test_enumeration_is_canonical_and_complete(self, m, ell, q):
@@ -249,7 +299,7 @@ class TestRowSpaces:
             for p in pivots:
                 assert [r[p] for r in rows] == [int(p == c) for c in pivots]
             seen.add(rows)
-        assert len(seen) == gaussian_binomial(m, ell, q)
+        assert len(seen) == brute_row_space_count(m, ell, q)
 
     def test_dimension_zero(self):
         assert list(iter_row_spaces(3, 0, 2)) == [()]
@@ -285,10 +335,24 @@ class TestMinLinearLength:
         with pytest.raises(ValueError, match=r"invalid instance \(user 2\): side information outside"):
             Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
 
-    def test_space_cap(self):
+    def test_node_cap_counts_candidate_codes(self):
+        # the empty code and the 15 one-row spaces of GF(2)^4 spend 16 nodes
+        # and all fail; the first two-row space, e_0 and e_1, serves everyone
+        inst = build_complete_s(4, 1, {1})
+        with pytest.raises(SearchOverflow) as info:
+            min_linear_length_exhaustive(inst, q=2, node_cap=16)
+        assert info.value.proven == 2
+        assert min_linear_length_exhaustive(inst, q=2, node_cap=17) == (
+            2, LinearCode(2, 4, ((1, 0, 0, 0), (0, 1, 0, 0))),
+        )
+
+    def test_large_width_is_not_refused_by_size(self):
+        # GF(2)^25 has about 3.4e7 one-dimensional row spaces, but the first
+        # one tried, e_0, already serves the single user
         inst = Instance(m=25, t=1, users=(frozenset(),))
-        with pytest.raises(CapExceeded):
-            min_linear_length_exhaustive(inst, q=2)
+        found = min_linear_length_exhaustive(inst, q=2)
+        assert found is not None and found[0] == 1
+        assert is_valid(found[1], inst).valid
 
     def test_matches_raw_matrix_enumeration(self):
         from util import brute_min_linear_ell
@@ -300,3 +364,24 @@ class TestMinLinearLength:
             found = min_linear_length_exhaustive(inst, q=2, ell_max=2)
             got = None if found is None else found[0]
             assert got == want
+
+
+_SPENT = build_complete_s(4, 1, {1})
+_SPENT_CHOICE = tuple(frozenset({min(set(range(4)) - a)}) for a in _SPENT.users)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda cap: mais(_SPENT, _SPENT_CHOICE, node_cap=cap),
+        lambda cap: min_mais_lower_bound(_SPENT, node_cap=cap),
+        lambda cap: has_one_factor(network_topology(_SPENT), node_cap=cap),
+        lambda cap: min_linear_length_exhaustive(_SPENT, q=2, node_cap=cap),
+    ],
+    ids=["mais", "min_mais_lower_bound", "has_one_factor", "min_linear_length_exhaustive"],
+)
+def test_spent_budget_is_not_a_verdict(search):
+    # every node_cap search answers with SearchOverflow, never with a value
+    # or None, when it may not spend a single node
+    with pytest.raises(SearchOverflow):
+        search(0)

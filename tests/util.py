@@ -39,6 +39,18 @@ def span_vectors(rows, q):
     return seen
 
 
+def brute_row_space_count(m, ell, q):
+    """Number of ell-dimensional subspaces of GF(q)^m: the distinct spans of
+    every ell x m matrix of full rank, whose span holds q^ell vectors."""
+    spaces = set()
+    for flat in itertools.product(range(q), repeat=ell * m):
+        rows = [tuple(flat[r * m : (r + 1) * m]) for r in range(ell)]
+        span = frozenset(span_vectors(rows, q))
+        if len(span) == q**ell:
+            spaces.add(span)
+    return len(spaces)
+
+
 def brute_det(matrix, q):
     """Determinant mod q of a square matrix, as the Leibniz sum over every
     permutation, signed by its inversion count."""

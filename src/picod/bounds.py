@@ -44,32 +44,37 @@ DEFAULT_MAIS_NODE_CAP = 5 * 10**6
 
 
 def _close(
-    fam: set[int], by_msg: dict[int, list[int]], todo: list[int], limit: int, added: list[int],
-    budget: list[int],
+    fam: set[int], by_msg: list[tuple[int, list[int]]], todo: list[int], limit: int,
+    added: list[int], budget: list[int],
 ) -> bool:
     """Add to fam and added, depth first, every set reachable from todo;
     members of fam count as closed.  Returns False once a candidate holds
     more than limit messages, leaving it on todo so a larger limit resumes.
+    by_msg has one (1 << x, live list of the masks desiring x) pair per message.
 
     budget[0] is the number of pops left, shared by every call of one search;
     when it runs out, SearchOverflow is raised with proven=limit, since both
     callers only close at a limit that is already a proven lower bound.
     """
+    pop, push, keep, log = todo.pop, todo.append, fam.add, added.append
     while todo:
         if budget[0] <= 0:
             raise SearchOverflow(f"acyclic-set search spent its node budget at {limit}", proven=limit)
         budget[0] -= 1
-        u = todo.pop()
+        u = pop()
         if u in fam:
             continue
         if u.bit_count() > limit:
-            todo.append(u)
+            push(u)
             return False
-        fam.add(u)
-        added.append(u)
-        for x, masks in by_msg.items():
-            if not u >> x & 1 and any(a & u == 0 for a in masks):
-                todo.append(u | 1 << x)
+        keep(u)
+        log(u)
+        for bit, masks in by_msg:
+            if not u & bit:
+                for a in masks:
+                    if not a & u:
+                        push(u | bit)
+                        break
     return True
 
 
@@ -84,17 +89,16 @@ def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NO
     by_msg: dict[int, list[int]] = {}
     for a, ds in zip(inst.masks, assignment):
         for d in sorted(ds):
-            by_msg.setdefault(d, []).append(a)
-    fam, todo, k, budget = set(), [0], 0, [node_cap]
+            by_msg.setdefault(1 << d, []).append(a)
+    pairs, fam, todo, k, budget = list(by_msg.items()), set(), [0], 0, [node_cap]
     # no acyclic set exceeds the distinct desired messages, so stop there
-    while k < len(by_msg) and not _close(fam, by_msg, todo, k, [], budget):
+    while k < len(pairs) and not _close(fam, pairs, todo, k, [], budget):
         k += 1
     return k
 
 
 def min_mais_lower_bound(
-    inst: Instance,
-    node_cap: int = DEFAULT_MAIS_NODE_CAP,
+    inst: Instance, node_cap: int = DEFAULT_MAIS_NODE_CAP
 ) -> tuple[int, Assignment]:
     """Minimum of mais() over every assignment, with one minimizing witness.
 
@@ -104,11 +108,12 @@ def min_mais_lower_bound(
     shrinks the bound).  The first target with a surviving full assignment
     is the exact minimum.
 
-    The scan keeps the family of acyclic sets of the current prefix instead
-    of re-solving the bound.  Giving user i (side information A) the set d
+    The scan keeps the family of acyclic sets of the current prefix, and for
+    each message x one (1 << x, entries) pair that all choices holding x share.
+    Giving user i (side information A) the set d adds A to the entries of d,
     seeds U | x for each member U disjoint from A and x in d outside U, closes
     the family from the seeds and prunes once a set of v + 1 messages appears;
-    backtracking removes exactly the sets added.  The seeds suffice: the steps
+    backtracking removes exactly what was added.  The seeds suffice: the steps
     of a new set before the first that needs a new entry use old entries only,
     so they end in the parent's family, complete since it held no set above v.
 
@@ -124,14 +129,9 @@ def min_mais_lower_bound(
     every cell have the same surviving completions, and only the first per
     count vector is tried (at depth 0, user 0's first choice).  The full
     scan's first surviving choice is the first of its orbit, so value and
-    witness agree with it.  Elsewhere each message is its own cell.
+    witness agree with it.  Elsewhere each message is its own cell.  Once all
+    cells are singletons, refining and counting prune nothing and are skipped.
     """
-    if inst.n == 0:
-        return 0, ()
-
-    choices = [[(d, sum(1 << x for x in d)) for d in user_choices(inst, i)]
-               for i in range(inst.n)]
-    amask = inst.masks
     cells0 = [(1 << inst.m) - 1] if is_complete_s(inst) else [1 << x for x in range(inst.m)]
 
     def refine(cells: list[int], s: int) -> list[int]:
@@ -139,7 +139,9 @@ def min_mais_lower_bound(
 
     # the acyclic sets of the current prefix; a failed search restores both
     fam = {0}
-    by_msg: dict[int, list[int]] = {x: [] for x in range(inst.m)}
+    by_msg: list[tuple[int, list[int]]] = [(1 << x, []) for x in range(inst.m)]
+    choices = [[(d, sum(1 << x for x in d), [by_msg[x] for x in d])
+                for d in user_choices(inst, i)] for i in range(inst.n)]
     budget = [node_cap]
 
     def dfs(
@@ -147,32 +149,33 @@ def min_mais_lower_bound(
     ) -> tuple[frozenset[int], ...] | None:
         if i == inst.n:
             return tuple(picked)
-        a = amask[i]
-        cells = refine(cells, a)
+        a = inst.masks[i]
+        cells = refine(cells, a) if len(cells) < inst.m else cells
+        orbits = len(cells) < inst.m
         tried: set[tuple[int, ...]] = set()
-        for d, dm in choices[i]:
-            if len(cells) < inst.m:
+        for d, dm, pairs in choices[i]:
+            if orbits:
                 key = tuple((dm & c).bit_count() for c in cells)
                 if key in tried:
                     continue
                 tried.add(key)
-            for x in d:
-                by_msg[x].append(a)
-            seeds = [u | 1 << x for u in fam if u & a == 0 for x in d if not u >> x & 1]
+            for _, masks in pairs:
+                masks.append(a)
+            seeds = [u | b for u in fam if not u & a for b, _ in pairs if not u & b]
             added: list[int] = []
             if _close(fam, by_msg, seeds, target, added, budget):
                 picked.append(d)
-                found = dfs(i + 1, target, picked, refine(cells, dm))
+                found = dfs(i + 1, target, picked, refine(cells, dm) if orbits else cells)
                 if found is not None:
                     return found
                 picked.pop()
             fam.difference_update(added)
-            for x in d:
-                by_msg[x].pop()
+            for _, masks in pairs:
+                masks.pop()
         return None
 
     # t is a sound start: one user's t desired messages form an acyclic set
-    for target in range(inst.t, inst.m + 1):
+    for target in range(inst.t if inst.n else 0, inst.m + 1):
         witness = dfs(0, target, [], cells0)
         if witness is not None:
             return target, witness

@@ -10,6 +10,7 @@ exit code 0 means the command completed and any checked property holds,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -161,6 +162,7 @@ def cmd_block_cover(args: argparse.Namespace) -> int:
     return 0 if summary.impossible else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--pretty", action="store_true", help="indent JSON output")
@@ -278,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser is built on the first call, once per process."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PicodError, ValueError, OSError) as exc:

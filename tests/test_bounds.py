@@ -241,6 +241,22 @@ class TestMinMais:
     def test_no_users(self):
         assert min_mais_lower_bound(Instance(2, 1, ())) == (0, ())
 
+    @pytest.mark.parametrize("m,t,sizes,pops,value,witness", [
+        (5, 1, {1, 3}, 28402, 4, "1 0 0 0 0 3 2 2 1 1 1 0 0 0 0"),
+        (5, 1, {1, 3, 4}, 28418, 4, "1 0 0 0 0 3 2 2 1 1 1 0 0 0 0 4 3 2 1 0"),
+        (5, 2, {0, 1, 3}, 7058, 5, "01 12 02 01 01 01 34 24 23 14 13 12 04 03 02 01"),
+    ])
+    def test_exact_pop_budget(self, m, t, sizes, pops, value, witness):
+        # the exact number of sets the search pops on these instances, so a
+        # change of search path (pop order, seeding, pruning) moves it; the
+        # witness lists each user's desired messages as one group of digits
+        inst = build_complete_s(m, t, sizes)
+        want = tuple(frozenset(map(int, group)) for group in witness.split())
+        assert min_mais_lower_bound(inst, node_cap=pops) == (value, want)
+        with pytest.raises(SearchOverflow) as info:
+            min_mais_lower_bound(inst, node_cap=pops - 1)
+        assert info.value.proven == value
+
 
 class TestWideInputs:
     """Instances with many messages or users; the searches must not walk all

@@ -1,5 +1,6 @@
 """End-to-end command line checks, driving main() directly."""
 
+import argparse
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import picod
-from picod.cli import main
+from picod.cli import _build_parser, main
 from picod.instance import build_complete_s, instance_wire
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,6 +23,17 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def src_env():
+    """The environment with the imported picod's source tree on PYTHONPATH,
+    for child interpreters run without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(picod.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 class TestGen:
@@ -552,17 +564,92 @@ class TestParserBasics:
         if installed:
             commands.append([installed, *argv])
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(picod.__file__).resolve().parents[1]),
-                        env.get("PYTHONPATH")) if p
-        )
         for cmd in commands:
             proc = subprocess.run(
-                cmd, capture_output=True, text=True, env=env, timeout=60,
+                cmd, capture_output=True, text=True, env=src_env(), timeout=60,
             )
             assert proc.returncode == 0
             assert json.loads(proc.stdout) == {"m": 2, "t": 1, "users": [[]]}
+
+
+class TestParserReuse:
+    """The parser is built on the first main() call and reused; consecutive
+    calls in one process share no state."""
+
+    REPORT = ["report", "-m", "4", "-t", "1", "-S", "0,2"]
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so the import is not already done
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(self)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import picod.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        assert run_cli(capsys, *self.REPORT)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        # every ArgumentParser from here on, subparsers included
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run_cli(capsys, *self.REPORT)[0] == 0
+        assert run_cli(capsys, "gen", "-m", "3", "-t", "1", "-S", "1")[0] == 0
+        assert built == []
+
+    def test_pretty_file_output_does_not_carry_over(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        rc, out, _ = run_cli(capsys, *self.REPORT, "--pretty", "-o", str(target))
+        assert (rc, out) == (0, "")
+        obj = json.loads(target.read_text())
+        rc, out, _ = run_cli(capsys, *self.REPORT)
+        assert rc == 0
+        assert out == json.dumps(obj) + "\n"
+
+    @pytest.mark.parametrize("bad", [
+        ["report", "-m", "4"],
+        ["report", "-m", "4", "-t", "1", "-S", "0,2", "--field", "4"],
+    ], ids=["missing-parameters", "rejected-argument"])
+    def test_failed_call_does_not_carry_over(self, capsys, bad):
+        try:
+            rc = main(bad)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        rc, out, err = run_cli(capsys, *self.REPORT)
+        assert rc == 0
+        assert err == ""
+        assert json.loads(out)["lower_bound_method"] == "mais-exact"
+
+    def test_help_after_a_call_matches_a_fresh_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser.__wrapped__().parse_args(["report", "--help"])
+        assert exc.value.code == 0
+        fresh = capsys.readouterr().out
+        assert fresh.startswith("usage: picod report")
+        assert run_cli(capsys, *self.REPORT)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh
 
 
 def readme_examples():

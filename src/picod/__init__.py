@@ -44,7 +44,6 @@ from .hypergraph import (
 )
 from .instance import (
     Instance,
-    SizeProfile,
     build_complete_s,
     instance_from_wire,
     instance_wire,
@@ -83,7 +82,6 @@ __all__ = [
     "PartitionPlan",
     "PicodError",
     "SearchOverflow",
-    "SizeProfile",
     "best_chain_bound",
     "block_cover_impossibility",
     "build_complete_s",

@@ -31,10 +31,9 @@ from .errors import SearchOverflow
 from .instance import (
     Assignment,
     Instance,
-    SizeProfile,
     _as_sizes,
     assignment_to_lists,
-    is_complete_s,
+    complete_s_sizes,
     user_choices,
     validate_assignment,
 )
@@ -121,7 +120,7 @@ def min_mais_lower_bound(
     that it raises SearchOverflow whose `proven` is the target it was working
     on: every smaller value was refuted, so the minimum is at least that.
 
-    On a complete-S instance (`is_complete_s`) every message permutation maps
+    On a complete-S instance (`complete_s_sizes`) every message permutation maps
     the instance to itself.  At depth i the messages split into cells, the
     atoms of A_0, d_0, ..., A_{i-1}, d_{i-1}, A_i; a permutation keeping each
     cell fixes users 0..i (their side information is distinct) and reorders
@@ -132,7 +131,7 @@ def min_mais_lower_bound(
     witness agree with it.  Elsewhere each message is its own cell.  Once all
     cells are singletons, refining and counting prune nothing and are skipped.
     """
-    cells0 = [(1 << inst.m) - 1] if is_complete_s(inst) else [1 << x for x in range(inst.m)]
+    cells0 = [(1 << inst.m) - 1] if complete_s_sizes(inst) else [1 << x for x in range(inst.m)]
 
     def refine(cells: list[int], s: int) -> list[int]:
         return [p for c in cells for p in (c & s, c & ~s) if p]
@@ -259,7 +258,7 @@ ABOVE_MIDDLE = "above-middle"
 MIDDLE_BAND = "middle-band"
 
 
-def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> tuple[int, str] | None:
+def closed_form_length(m: int, t: int, sizes: Iterable[int]) -> tuple[int, str] | None:
     """Optimal length of the complete-S instance when a known result applies.
 
     Returns (value, rule name) or None.  Rules are tried in a fixed priority
@@ -267,19 +266,17 @@ def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> 
     sizes so that one-size profiles report under their own rule (the values
     agree either way).
     """
-    prof = _as_sizes(profile, m, t)
-    smin, smax = prof.smin, prof.smax
-    sizes = prof.sizes
+    vals = _as_sizes(sizes, m, t)
+    smin, smax = vals[0], vals[-1]
 
-    if prof.is_consecutive and len(sizes) >= 2:
+    if len(vals) >= 2 and len(vals) == smax - smin + 1:
         return min(smax + t, m - smin), CONSECUTIVE
-    if 0 in sizes and (m - t) in sizes:
-        comp = sorted(set(range(m - t + 1)) - sizes)
+    if smin == 0 and smax == m - t:
+        comp = sorted(set(range(m - t + 1)).difference(vals))
         if comp and comp[-1] - comp[0] + 1 == len(comp):
-            return min(m, len(sizes) + 2 * t - 2), COMPLEMENT_CONSECUTIVE
-    if len(sizes) == 1:
-        s = smin
-        return min(s + t, m - s), SINGLETON
+            return min(m, len(vals) + 2 * t - 2), COMPLEMENT_CONSECUTIVE
+    if len(vals) == 1:
+        return min(smin + t, m - smin), SINGLETON
     lo_mid = (m - t) // 2
     hi_mid = (m - t + 1) // 2
     if smax <= lo_mid:
@@ -287,7 +284,7 @@ def closed_form_length(m: int, t: int, profile: SizeProfile | Iterable[int]) -> 
     if smin >= hi_mid:
         return m - smin, ABOVE_MIDDLE
     delta = min(smax - hi_mid, lo_mid - smin)
-    if delta >= 0 and set(range(lo_mid - delta, hi_mid + delta + 1)) <= sizes:
+    if delta >= 0 and set(range(lo_mid - delta, hi_mid + delta + 1)).issubset(vals):
         return min(smax + t, m - smin), MIDDLE_BAND
     return None
 
@@ -354,11 +351,11 @@ def full_report(
     possibly below the exact bound; the witness assignment is then the one
     the scheme induces.  Either way it lists users in inst's order.
     """
-    if not inst.users or not is_complete_s(inst):
+    sizes = complete_s_sizes(inst)
+    if not sizes:
         raise ValueError("instance is not complete for any size profile")
-    prof = SizeProfile(frozenset(len(a) for a in inst.users))
-    closed = closed_form_length(inst.m, inst.t, prof)
-    code = build_partition_scheme(optimal_partition(inst.m, inst.t, prof), q)
+    closed = closed_form_length(inst.m, inst.t, sizes)
+    code = build_partition_scheme(optimal_partition(inst.m, inst.t, sizes), q)
     if not is_valid(code, inst).valid:
         raise AssertionError("partition scheme failed verification")
     try:
@@ -370,7 +367,7 @@ def full_report(
     return BoundReport(
         m=inst.m,
         t=inst.t,
-        sizes=prof.sorted(),
+        sizes=sizes,
         lower_bound=lower,
         lower_bound_method=method,
         achieved=code.ell,

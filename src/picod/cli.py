@@ -30,7 +30,6 @@ from .hypergraph import (
 from .instance import (
     DEFAULT_USER_CAP,
     Instance,
-    SizeProfile,
     build_complete_s,
     instance_from_wire,
     instance_wire,
@@ -56,6 +55,23 @@ def _positive_arg(text: str) -> int:
     if v <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return v
+
+
+def _sizes_arg(text: str) -> set[int]:
+    """S from a comma list of sizes and inclusive ranges, e.g. "0,2-4,6"."""
+    sizes: set[int] = set()
+    for chunk in filter(None, map(str.strip, text.split(","))):
+        lo, sep, hi = chunk.partition("-")
+        try:
+            span = range(int(lo), int(hi if sep else lo) + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad size {chunk!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty size range {chunk!r}")
+        sizes.update(span)
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+    return sizes
 
 
 def _order_arg(text: str) -> tuple[int, ...]:
@@ -172,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("-m", type=_positive_arg, help="number of messages")
     source.add_argument("-t", type=_positive_arg, help="messages each user must decode")
     source.add_argument(
-        "-S", dest="sizes", type=SizeProfile.parse,
+        "-S", dest="sizes", type=_sizes_arg,
         help="side-information sizes, e.g. '1' or '0,2-4'",
     )
     source.add_argument("--instance", help="path to an instance JSON file")

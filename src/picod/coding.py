@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import FieldTooSmall
-from .instance import SizeProfile, _as_sizes, _json_field
+from .instance import _as_sizes, _json_field
 
 # ---------- prime fields ----------
 
@@ -138,7 +138,7 @@ class PartitionPlan:
         return self.uncoded + self.mds
 
 
-def optimal_partition(m: int, t: int, profile: SizeProfile | Iterable[int]) -> PartitionPlan:
+def optimal_partition(m: int, t: int, sizes: Iterable[int]) -> PartitionPlan:
     """Cheapest split of sorted(S) into an uncoded prefix and an MDS suffix.
 
     Serving a group of sizes uncoded sends its first max + t messages
@@ -148,7 +148,7 @@ def optimal_partition(m: int, t: int, profile: SizeProfile | Iterable[int]) -> P
     smallest size, so some cheapest partition of S into groups has this
     shape.  Ties prefer one group, then the shorter MDS suffix.
     """
-    vals = _as_sizes(profile, m, t).sorted()
+    vals = _as_sizes(sizes, m, t)
     k = len(vals)
     plans = (
         PartitionPlan(m, vals[j - 1] + t if j else 0, m - vals[j] if j < k else 0)

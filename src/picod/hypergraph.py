@@ -185,21 +185,19 @@ class CircularArcTrace:
 
 def _drop_dominated(arcs: dict[int, int]) -> tuple[dict[int, int], list[int]]:
     """Remove edges lying inside the union of the others, lowest label first,
-    until every survivor keeps a private position."""
+    until every survivor keeps a private position.  One ascending pass does
+    it: a drop only shrinks the union of the others, so a kept edge stays."""
     arcs = dict(arcs)
     dropped: list[int] = []
-    while True:
-        for label in sorted(arcs):
-            others = 0
-            for other, e in arcs.items():
-                if other != label:
-                    others |= e
-            if not arcs[label] & ~others:
-                del arcs[label]
-                dropped.append(label)
-                break
-        else:
-            return arcs, dropped
+    for label in sorted(arcs):
+        others = 0
+        for other, e in arcs.items():
+            if other != label:
+                others |= e
+        if not arcs[label] & ~others:
+            del arcs[label]
+            dropped.append(label)
+    return arcs, dropped
 
 
 def circular_arc_scheme_with_trace(

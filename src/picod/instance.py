@@ -27,61 +27,19 @@ DEFAULT_USER_CAP = 10**6
 Assignment = tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class SizeProfile:
-    """The set S of side-information sizes of a complete-S instance."""
-
-    sizes: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ValueError("size profile must be non-empty")
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("side-information sizes must be non-negative")
-
-    @property
-    def smin(self) -> int:
-        return min(self.sizes)
-
-    @property
-    def smax(self) -> int:
-        return max(self.sizes)
-
-    @property
-    def is_consecutive(self) -> bool:
-        return len(self.sizes) == self.smax - self.smin + 1
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.sizes))
-
-    @classmethod
-    def parse(cls, text: str) -> "SizeProfile":
-        """Parse "0,2-4,6" style size lists (ranges are inclusive)."""
-        sizes: set[int] = set()
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "-" in chunk:
-                lo_s, hi_s = chunk.split("-", 1)
-                lo, hi = int(lo_s), int(hi_s)
-                if hi < lo:
-                    raise ValueError(f"empty size range {chunk!r}")
-                sizes.update(range(lo, hi + 1))
-            else:
-                sizes.add(int(chunk))
-        return cls(frozenset(sizes))
-
-
-def _as_sizes(profile: SizeProfile | Iterable[int], m: int, t: int) -> SizeProfile:
-    """S as a SizeProfile, checked against the PICOD(t) premise: 1 <= t <= m
-    and no size above m - t."""
-    prof = profile if isinstance(profile, SizeProfile) else SizeProfile(frozenset(profile))
+def _as_sizes(sizes: Iterable[int], m: int, t: int) -> tuple[int, ...]:
+    """S sorted, checked to be a non-empty set of non-negative sizes that fits
+    the PICOD(t) premise: 1 <= t <= m and no size above m - t."""
+    vals = tuple(sorted(set(sizes)))
+    if not vals:
+        raise ValueError("size profile must be non-empty")
+    if vals[0] < 0:
+        raise ValueError("side-information sizes must be non-negative")
     if m < 1 or t < 1 or t > m:
         raise ValueError(f"need 1 <= t <= m, got m={m}, t={t}")
-    if prof.smax > m - t:
-        raise ValueError(f"sizes {prof.sorted()} exceed m - t = {m - t}")
-    return prof
+    if vals[-1] > m - t:
+        raise ValueError(f"sizes {vals} exceed m - t = {m - t}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -131,7 +89,7 @@ def _invalid(where: str, reason: str) -> NoReturn:
 def build_complete_s(
     m: int,
     t: int,
-    profile: SizeProfile | Iterable[int],
+    sizes: Iterable[int],
     user_cap: int = DEFAULT_USER_CAP,
 ) -> Instance:
     """Build the complete-S instance: one user per subset of sizes in S.
@@ -139,23 +97,25 @@ def build_complete_s(
     Users are ordered by layer (ascending size), lexicographically inside a
     layer.
     """
-    prof = _as_sizes(profile, m, t)
-    n = sum(math.comb(m, s) for s in prof.sizes)
+    vals = _as_sizes(sizes, m, t)
+    n = sum(math.comb(m, s) for s in vals)
     if n > user_cap:
         raise CapExceeded("complete-S user count", n, user_cap)
     users = tuple(
         frozenset(combo)
-        for s in prof.sorted()
+        for s in vals
         for combo in combinations(range(m), s)
     )
     return Instance(m, t, users)
 
 
-def is_complete_s(inst: Instance) -> bool:
-    """Is inst complete-S for S = its users' sizes, in any user order?  Distinct
-    subsets of range(m) fill their layers exactly when sum C(m, s) = n."""
-    layers = sum(math.comb(inst.m, s) for s in {len(a) for a in inst.users})
-    return len(set(inst.users)) == inst.n == layers
+def complete_s_sizes(inst: Instance) -> tuple[int, ...]:
+    """S, sorted, when inst is complete-S for S = its users' sizes, in any user
+    order; () when it is not or has no users.  Distinct subsets of range(m)
+    fill their layers exactly when sum C(m, s) = n."""
+    sizes = tuple(sorted({len(a) for a in inst.users}))
+    layers = sum(math.comb(inst.m, s) for s in sizes)
+    return sizes if len(set(inst.users)) == inst.n == layers else ()
 
 
 def user_choices(inst: Instance, user: int) -> list[frozenset[int]]:

@@ -82,7 +82,6 @@ class UserDecoding:
 
 @dataclass(frozen=True)
 class DecodabilityReport:
-    t: int
     valid: bool
     per_user: tuple[UserDecoding, ...]
 
@@ -124,7 +123,7 @@ def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
     per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
-    return DecodabilityReport(inst.t, valid, per_user)
+    return DecodabilityReport(valid, per_user)
 
 
 def induced_assignment(code: LinearCode, inst: Instance) -> Assignment:

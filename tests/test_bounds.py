@@ -27,7 +27,7 @@ from picod.errors import SearchOverflow
 from picod.instance import (
     Instance,
     build_complete_s,
-    is_complete_s,
+    complete_s_sizes,
     user_choices,
     validate_assignment,
 )
@@ -187,7 +187,7 @@ class TestMinMais:
         users = build_complete_s(4, 1, {0, 2}).users
         assert users[5] == {1, 3}
         inst = Instance(4, 1, users[:5] + users[6:])
-        assert not is_complete_s(inst)
+        assert complete_s_sizes(inst) == ()
         scored = [(brute_mais(inst, d), d) for d in enumerate_assignments(inst)]
         low = min(v for v, _ in scored)
         assert min_mais_lower_bound(inst) == (low, next(d for v, d in scored if v == low))

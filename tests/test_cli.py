@@ -36,6 +36,28 @@ def src_env():
     return env
 
 
+class TestSizesArg:
+    """-S is a comma list of sizes and inclusive ranges, checked at parse time."""
+
+    def test_parse_list_and_ranges(self, capsys):
+        for text, sizes in [("0,2-4,6", {0, 2, 3, 4, 6}), ("1, 2 ,3", {1, 2, 3}),
+                            ("2-2", {2}), ("3", {3})]:
+            rc, out, _ = run_cli(capsys, "gen", "-m", "7", "-t", "1", "-S", text)
+            assert rc == 0
+            assert json.loads(out) == instance_wire(build_complete_s(7, 1, sizes))
+
+    def test_parse_rejects_garbage(self, capsys):
+        for text, reason in [("", "no sizes in ''"), ("3-1", "empty size range '3-1'"),
+                             ("x", "bad size 'x'"), ("-1", "bad size '-1'")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "-m", "7", "-t", "1", "-S", text])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"picod gen: error: argument -S: {reason}"
+            ]
+
+
 class TestGen:
     def test_singleton_profile(self, capsys):
         rc, out, _ = run_cli(capsys, "gen", "-m", "3", "-t", "1", "-S", "1")

@@ -7,6 +7,7 @@ import pytest
 from picod.errors import NotAFactor, SearchOverflow
 from picod.hypergraph import (
     Hypergraph,
+    _drop_dominated,
     circular_arc_scheme_with_trace,
     dual,
     has_one_factor,
@@ -14,7 +15,7 @@ from picod.hypergraph import (
     one_transmission_code,
     verify_circular_arc,
 )
-from picod.instance import Instance, SizeProfile, build_complete_s
+from picod.instance import Instance, build_complete_s
 from picod.verifier import is_valid
 
 from util import brute_exact_cover, brute_is_arc, random_arc_instance, seeded
@@ -53,19 +54,19 @@ class TestHypergraphType:
 
 class TestNetworkTopology:
     def test_each_user_missing_one_message_gives_singletons(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("2"))
+        inst = build_complete_s(3, 1, {2})
         topo = network_topology(inst)
         # users in lex order: {0,1},{0,2},{1,2}; edge j holds the one user
         # without message j
         assert topo.edges == (frozenset({2}), frozenset({1}), frozenset({0}))
 
     def test_empty_side_information(self):
-        inst = build_complete_s(2, 1, SizeProfile.parse("0"))
+        inst = build_complete_s(2, 1, {0})
         topo = network_topology(inst)
         assert topo.edges == (frozenset({0}), frozenset({0}))
 
     def test_singleton_side_information_triangle(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         topo = network_topology(inst)
         assert topo.edges == (
             frozenset({1, 2}),
@@ -110,7 +111,7 @@ class TestDual:
         # every user holds an s-set, so the dual of the topology is the
         # complete (m-s)-uniform hypergraph on the messages
         m, s = 4, 2
-        inst = build_complete_s(m, 1, SizeProfile.parse(str(s)))
+        inst = build_complete_s(m, 1, {s})
         d = dual(network_topology(inst))
         expected = {frozenset(c) for c in itertools.combinations(range(m), m - s)}
         assert set(d.edges) == expected
@@ -119,11 +120,11 @@ class TestDual:
 
 class TestHasOneFactor:
     def test_singleton_edges_use_all_labels(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("2"))
+        inst = build_complete_s(3, 1, {2})
         assert has_one_factor(network_topology(inst)) == (0, 1, 2)
 
     def test_triangle_has_none(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         assert has_one_factor(network_topology(inst)) is None
 
     def test_two_disjoint_pairs(self):
@@ -140,7 +141,7 @@ class TestHasOneFactor:
         assert has_one_factor(Hypergraph(0, ())) == ()
 
     def test_node_cap_overflow_is_not_a_verdict(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         with pytest.raises(SearchOverflow):
             has_one_factor(network_topology(inst), node_cap=0)
 
@@ -161,7 +162,7 @@ class TestHasOneFactor:
 
 class TestOneTransmissionCode:
     def test_sum_of_all_messages(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("2"))
+        inst = build_complete_s(3, 1, {2})
         topo = network_topology(inst)
         code = one_transmission_code(topo, (0, 1, 2))
         assert code.rows == ((1, 1, 1),)
@@ -236,7 +237,7 @@ class TestVerifyCircularArc:
 
 class TestSchemePreconditions:
     def test_needs_t_one(self):
-        inst = build_complete_s(4, 2, SizeProfile.parse("1"))
+        inst = build_complete_s(4, 2, {1})
         with pytest.raises(ValueError):
             circular_arc_scheme_with_trace(inst, tuple(range(inst.n)))[0]
 
@@ -263,14 +264,14 @@ class TestSchemePreconditions:
     def test_factor_search_overflow_propagates(self):
         # a factor exists, so reading the overflow as "none" would wrongly
         # fall back to the two-row construction
-        inst = build_complete_s(3, 1, SizeProfile.parse("2"))
+        inst = build_complete_s(3, 1, {2})
         with pytest.raises(SearchOverflow, match="exceeded 0 nodes"):
             circular_arc_scheme_with_trace(inst, (0, 1, 2), node_cap=0)
 
 
 class TestSchemeExamples:
     def test_triangle_needs_two_rows(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         code, trace = circular_arc_scheme_with_trace(inst, (0, 1, 2))
         assert trace.factor is None
         # edge 0 = {1,2} sits inside the union of the other two and is dropped
@@ -279,7 +280,7 @@ class TestSchemeExamples:
         assert is_valid(code, inst).valid
 
     def test_deterministic(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         a = circular_arc_scheme_with_trace(inst, (0, 1, 2))[0]
         b = circular_arc_scheme_with_trace(inst, (0, 1, 2))[0]
         assert a == b
@@ -302,7 +303,7 @@ class TestSchemeExamples:
         assert is_valid(code, inst).valid
 
     def test_all_singletons_sum_everything(self):
-        inst = build_complete_s(4, 1, SizeProfile.parse("3"))
+        inst = build_complete_s(4, 1, {3})
         code = circular_arc_scheme_with_trace(inst, tuple(range(inst.n)))[0]
         assert code.rows == ((1, 1, 1, 1),)
 
@@ -373,6 +374,33 @@ class TestSchemeExamples:
         assert is_valid(code, shuffled).valid
 
 
+def drop_dominated_restarting(arcs):
+    """Drop the lowest-labelled edge inside the union of the others, then
+    rescan from the start, until no edge is droppable."""
+    arcs, dropped = dict(arcs), []
+    while True:
+        for label in sorted(arcs):
+            others = 0
+            for other, e in arcs.items():
+                if other != label:
+                    others |= e
+            if not arcs[label] & ~others:
+                del arcs[label]
+                dropped.append(label)
+                break
+        else:
+            return arcs, dropped
+
+
+class TestDropDominated:
+    def test_one_pass_matches_restarting_scan(self):
+        rng = seeded(406)
+        for _ in range(2000):
+            width = rng.randint(1, 7)
+            arcs = {j: rng.randrange(1 << width) or 1 for j in range(rng.randint(0, 8))}
+            assert _drop_dominated(arcs) == drop_dominated_restarting(arcs)
+
+
 class TestSchemeRandom:
     def test_random_arc_instances(self):
         rng = seeded(405)
@@ -414,7 +442,7 @@ class TestSchemeRandom:
                 assert gap <= topo.edges[entry["label"] - 1]
 
     def test_trace_serializes(self):
-        inst = build_complete_s(3, 1, SizeProfile.parse("1"))
+        inst = build_complete_s(3, 1, {1})
         _, trace = circular_arc_scheme_with_trace(inst, (0, 1, 2))
         obj = trace.wire()
         assert obj["factor"] is None

@@ -9,41 +9,15 @@ import pytest
 from picod.errors import CapExceeded
 from picod.instance import (
     Instance,
-    SizeProfile,
     assignment_to_lists,
     build_complete_s,
+    complete_s_sizes,
     instance_from_wire,
     instance_wire,
-    is_complete_s,
     user_choices,
     validate_assignment,
 )
 from util import random_instance, seeded
-
-
-class TestSizeProfile:
-    def test_parse_list_and_ranges(self):
-        assert SizeProfile.parse("0,2-4,6").sorted() == (0, 2, 3, 4, 6)
-        assert SizeProfile.parse("3").sorted() == (3,)
-        assert SizeProfile.parse("1, 2 ,3").sorted() == (1, 2, 3)
-        assert SizeProfile.parse("2-2").sorted() == (2,)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            SizeProfile.parse("")
-        with pytest.raises(ValueError):
-            SizeProfile.parse("3-1")
-        with pytest.raises(ValueError):
-            SizeProfile.parse("x")
-        with pytest.raises(ValueError):
-            SizeProfile.parse("-1")
-
-    def test_bounds_and_consecutive(self):
-        p = SizeProfile.parse("1-3")
-        assert (p.smin, p.smax, p.is_consecutive) == (1, 3, True)
-        q = SizeProfile.parse("0,2")
-        assert (q.smin, q.smax, q.is_consecutive) == (0, 2, False)
-        assert SizeProfile.parse("5").is_consecutive
 
 
 class TestBuildCompleteS:
@@ -71,6 +45,14 @@ class TestBuildCompleteS:
         with pytest.raises(ValueError):
             build_complete_s(3, 4, {0})
 
+    def test_rejects_empty_or_negative_sizes(self):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            build_complete_s(3, 1, set())
+        with pytest.raises(ValueError, match="must be non-negative"):
+            build_complete_s(3, 1, {-1, 1})
+        # duplicates collapse: S is a set
+        assert build_complete_s(3, 1, [1, 1]) == build_complete_s(3, 1, {1})
+
     def test_user_cap(self):
         with pytest.raises(CapExceeded):
             build_complete_s(25, 1, set(range(25)), user_cap=10**6)
@@ -89,20 +71,21 @@ class TestIsCompleteS:
     @pytest.mark.parametrize("m,t,sizes", [(1, 1, {0}), (3, 1, {1}), (4, 1, {0, 2}), (5, 2, {0, 1, 3})])
     def test_built_instances_in_any_order(self, m, t, sizes):
         inst = build_complete_s(m, t, sizes)
-        assert is_complete_s(inst)
-        assert is_complete_s(Instance(m, t, inst.users[::-1]))
+        assert complete_s_sizes(inst) == tuple(sorted(sizes))
+        assert complete_s_sizes(Instance(m, t, inst.users[::-1])) == tuple(sorted(sizes))
 
     def test_layer_counts_alone_do_not_suffice(self):
         # 1 + 2 users for S = {0, 1} at m = 2, but the empty set twice
-        assert not is_complete_s(Instance(2, 1, (frozenset(), frozenset({0}), frozenset())))
+        assert complete_s_sizes(Instance(2, 1, (frozenset(), frozenset({0}), frozenset()))) == ()
 
     def test_missing_or_stray_users(self):
         users = build_complete_s(3, 1, {1}).users
-        assert not is_complete_s(Instance(3, 1, users[:-1]))
+        assert complete_s_sizes(Instance(3, 1, users[:-1])) == ()
         # a stray message outside range(m) cannot even be built
         with pytest.raises(ValueError, match=r"\(user 3\): side information outside"):
             Instance(3, 1, users[:-1] + (frozenset({3}),))
-        assert not is_complete_s(Instance(3, 1, users + (frozenset({0, 1}),)))
+        assert complete_s_sizes(Instance(3, 1, users + (frozenset({0, 1}),))) == ()
+        assert complete_s_sizes(Instance(3, 1, ())) == ()
 
 
 class TestValidation:

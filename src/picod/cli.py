@@ -75,7 +75,14 @@ def _sizes_arg(text: str) -> set[int]:
 
 
 def _order_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(x) - 1 for x in text.split(","))
+    """A cyclic user order from a comma list of 1-based users, e.g. "2,1,3"."""
+    order = []
+    for chunk in text.split(","):
+        try:
+            order.append(int(chunk) - 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad user {chunk.strip()!r}") from None
+    return tuple(order)
 
 
 def _emit(args: argparse.Namespace, obj: object) -> None:

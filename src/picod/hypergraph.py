@@ -210,10 +210,14 @@ def circular_arc_scheme_with_trace(
 
     A 1-factor, when one exists, gives a single row; a 1-factor search past
     node_cap raises SearchOverflow.  Otherwise: drop dominated edges,
-    greedily walk the cycle selecting an edge at each position where one
-    starts (longest arc first, then lowest label), and send the sum of the
-    selected messages; a second row sums one covering edge per leftover gap
-    plus the first selected message.
+    greedily walk the cycle selecting the edge that starts at each position
+    reached, and send the sum of the selected messages; a second row sums
+    one covering edge per leftover gap plus the first selected message.
+
+    Every survivor of the drop keeps a private position, and two arcs with
+    the same start are nested, so at most one survivor starts anywhere.
+    Selected arcs that tiled the cycle exactly would be a 1-factor, which
+    the search has ruled out, so the second row is always needed.
     """
     if inst.t != 1:
         raise ValueError("the two-transmission construction needs t = 1")
@@ -232,46 +236,38 @@ def circular_arc_scheme_with_trace(
         return one_transmission_code(topo, factor, q), trace
 
     arcs, trace.dropped = _drop_dominated({j: e for j, e in enumerate(masks) if e})
-    spans = {j: _runs(e, n)[0] for j, e in arcs.items()}
+    starting = {s: (j, length) for j, e in arcs.items() for s, length in _runs(e, n)}
 
     selected: list[int] = []
+    covered = 0
     i = 0
     while i < n:
-        here = [j for j, (s, _) in spans.items() if s == i]
-        if not here:
+        if i not in starting:
             i += 1
             continue
-        here.sort(key=lambda j: (-spans[j][1], j))
-        pick = here[0]
+        pick, length = starting[i]
         selected.append(pick)
-        trace.selected.append(
-            {"label": pick + 1, "start": i + 1, "length": spans[pick][1],
-             "tie_candidates": [j + 1 for j in here]}
-        )
-        i = i + spans[pick][1] if i + spans[pick][1] <= n else n
+        covered |= arcs[pick]
+        trace.selected.append({"label": pick + 1, "start": i + 1, "length": length})
+        i += length
     assert selected, "no edge starts anywhere, yet vertices are covered"
 
-    chosen = set(selected)
-    rows = [tuple(1 if j in chosen else 0 for j in range(inst.m))]
-
-    full = (1 << n) - 1
-    covered = 0
-    for j in selected:
-        covered |= arcs[j]
-    if covered != full or sum(spans[j][1] for j in selected) != n:
-        covers: list[int] = []
-        for s, length in _runs(full & ~covered, n):
-            gap = [(s + k) % n for k in range(length)]
-            run = sum(1 << p for p in gap)
-            candidates = [j for j, e in arcs.items() if not run & ~e]
-            assert candidates, f"uncovered run {gap} has no covering edge"
-            covers.append(min(candidates))
-            trace.gap_covers.append(
-                {"gap_positions": [g + 1 for g in gap], "label": covers[-1] + 1}
-            )
-        second = set(covers) | {selected[0]}
-        assert len(second) == len(covers) + 1, "cover labels collide"
-        rows.append(tuple(1 if j in second else 0 for j in range(inst.m)))
+    covers: list[int] = []
+    for s, length in _runs(((1 << n) - 1) & ~covered, n):
+        gap = [(s + k) % n for k in range(length)]
+        run = sum(1 << p for p in gap)
+        candidates = [j for j, e in arcs.items() if not run & ~e]
+        assert candidates, f"uncovered run {gap} has no covering edge"
+        covers.append(min(candidates))
+        trace.gap_covers.append(
+            {"gap_positions": [g + 1 for g in gap], "label": covers[-1] + 1}
+        )
+    second = set(covers) | {selected[0]}
+    assert len(second) == len(covers) + 1, "cover labels collide"
+    rows = [
+        tuple(1 if j in chosen else 0 for j in range(inst.m))
+        for chosen in (set(selected), second)
+    ]
 
     code = LinearCode(q, inst.m, tuple(rows))
     check = is_valid(code, inst)

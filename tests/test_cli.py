@@ -476,6 +476,17 @@ class TestHypergraphCommands:
         assert rc == 0
         assert json.loads(out)["rows"] <= 2
 
+    def test_circular_arc_order_names_bad_chunk(self, capsys):
+        for text, chunk in [("1,x", "'x'"), ("1,,2", "''"), ("1, y ,3", "'y'")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["hypergraph", "circular-arc", "-m", "3", "-t", "1", "-S", "1",
+                      "--order", text])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"picod hypergraph circular-arc: error: argument --order: bad user {chunk}"
+            ]
+
     def test_circular_arc_bad_order(self, capsys):
         rc, _, err = run_cli(
             capsys, "hypergraph", "circular-arc",

@@ -411,6 +411,16 @@ class TestSchemeRandom:
             assert code.ell <= 2
             assert is_valid(code, inst).valid
             assert (trace.factor is not None) == (code.ell == 1)
+            # the walk keys survivors by start: no two may share one
+            masks = {j: sum(1 << v for v in e)
+                     for j, e in enumerate(network_topology(inst).edges) if e}
+            survivors, _ = _drop_dominated(masks)
+            starts = [
+                p for e in survivors.values() for p in range(inst.n)
+                if e >> p & 1 and not e >> (p - 1) % inst.n & 1
+            ]
+            assert len(starts) == len(set(starts)) == len(survivors)
+            assert all(e.keys() == {"label", "start", "length"} for e in trace.selected)
 
     def test_selected_arcs_overlap_only_at_the_seam(self):
         rng = seeded(406)

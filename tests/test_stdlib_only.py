@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library and parses on
-the oldest Python that `pyproject.toml` admits."""
+"""The package imports nothing outside the standard library, its root
+imports nothing at all, and it parses on the oldest Python that
+`pyproject.toml` admits."""
 
 import ast
 import os
@@ -32,18 +33,33 @@ def test_absolute_imports_are_stdlib(path):
     assert not outside, f"{path.name} imports non-stdlib modules {outside}"
 
 
-def test_import_starts_no_process_machinery():
-    # a process pool import would cost every command its startup time
-    code = (
-        "import sys, picod; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+def _fresh_python(code: str) -> str:
+    """Stdout of a new interpreter that runs the code with src/ on its path."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_starts_no_process_machinery():
+    # a process pool import would cost every command its startup time;
+    # picod.cli loads every other module of the package
+    assert _fresh_python(
+        "import sys, picod.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    ) == "[]"
+
+
+def test_package_root_imports_nothing():
+    # every name is imported from its module, so `import picod` alone
+    # loads no picod.* submodule
+    tree = ast.parse((SRC / "picod" / "__init__.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert _fresh_python(
+        "import sys, picod; print(sorted(m for m in sys.modules if m.startswith('picod')))"
+    ) == "['picod']"
 
 
 def _oldest_python() -> tuple[int, int]:

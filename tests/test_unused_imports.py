@@ -1,8 +1,4 @@
-"""Every name a module imports is read somewhere in that module.
-
-`src/picod/__init__.py` is exempt: its imports are the package's
-re-exports, and `test_public_api.py` checks them against `__all__`.
-"""
+"""Every name a module imports is read somewhere in that module."""
 
 import ast
 from pathlib import Path
@@ -10,10 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for p in [*(ROOT / "src" / "picod").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+MODULES = sorted([*(ROOT / "src" / "picod").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source):

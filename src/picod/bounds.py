@@ -8,9 +8,9 @@ Two converse tools work on any instance:
   minimum over all desired-set assignments lower-bounds the code length;
 * the decoding-chain bound: walk users in some order and count how many of
   each user's desired messages are new relative to everything earlier users
-  held or decoded.  The best ordering depends only on that union, so one
-  search memoized on the union mask finds it exactly, and a state stops once
-  it reaches the count of desired messages still outside the union.
+  held or decoded.  The best ordering's count is the assignment's acyclic
+  bound, so it is read off one acyclic set of that size found by the same
+  search.
 
 Closed-form lengths cover consecutive size profiles, profiles whose
 complement inside [0, m-t] is a consecutive run, one-size profiles, profiles
@@ -77,6 +77,22 @@ def _close(
     return True
 
 
+def _mais_set(inst: Instance, assignment: Assignment, node_cap: int) -> tuple[int, int]:
+    """mais() and one acyclic set of that many messages, as a mask: the set
+    that stopped the close at k - 1 (0 when k is 0)."""
+    validate_assignment(inst, assignment)
+    by_msg: dict[int, list[int]] = {}
+    for a, ds in zip(inst.masks, assignment):
+        for d in sorted(ds):
+            by_msg.setdefault(1 << d, []).append(a)
+    pairs, fam, todo, k, budget = list(by_msg.items()), set(), [0], 0, [node_cap]
+    largest = 0
+    # no acyclic set exceeds the distinct desired messages, so stop there
+    while k < len(pairs) and not _close(fam, pairs, todo, k, [], budget):
+        k, largest = k + 1, todo[-1]
+    return k, largest
+
+
 def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NODE_CAP) -> int:
     """Exact maximum-acyclic-set size of one assignment's unicast expansion:
     the first k whose family closes without a set of k + 1 messages.
@@ -84,16 +100,7 @@ def mais(inst: Instance, assignment: Assignment, node_cap: int = DEFAULT_MAIS_NO
     Raises SearchOverflow after node_cap popped sets; its `proven` is the k
     reached, a lower bound on the answer.
     """
-    validate_assignment(inst, assignment)
-    by_msg: dict[int, list[int]] = {}
-    for a, ds in zip(inst.masks, assignment):
-        for d in sorted(ds):
-            by_msg.setdefault(1 << d, []).append(a)
-    pairs, fam, todo, k, budget = list(by_msg.items()), set(), [0], 0, [node_cap]
-    # no acyclic set exceeds the distinct desired messages, so stop there
-    while k < len(pairs) and not _close(fam, pairs, todo, k, [], budget):
-        k += 1
-    return k
+    return _mais_set(inst, assignment, node_cap)[0]
 
 
 def min_mais_lower_bound(
@@ -208,44 +215,23 @@ class ChainBoundResult:
 
 
 def best_chain_bound(inst: Instance, assignment: Assignment) -> ChainBoundResult:
-    """Best chain_bound over orderings, exact, with the first maximizing one.
+    """Best chain_bound over orderings, with one maximizing ordering.
 
-    Let u be the union of everything the placed users held or desired.  A
-    placed user's A | D lies inside u, so it adds nothing again and is never
-    placed twice: the best continuation depends on u alone, and the search
-    is memoized on u (at most 2^m states, one scan of the users each).
-    Users adding nothing new are skipped, since placing one cannot raise any
-    later term.  No continuation adds more than the desired messages outside
-    u, so a state stops scanning once its best reaches that count; the first
-    maximizer is kept, so the cut leaves the ordering unchanged.
+    The best chain is the assignment's mais().  Any chain's new messages, in
+    reverse order, form an acyclic set.  Conversely, the last step of an
+    acyclic set X's build gives a user that desires part of X and holds none
+    of it; placing that user and removing what it desires leaves an acyclic
+    set, so repeating counts every message of X once.  The search spends
+    DEFAULT_MAIS_NODE_CAP popped sets and raises SearchOverflow past it.
     """
-    validate_assignment(inst, assignment)
+    value, left = _mais_set(inst, assignment, DEFAULT_MAIS_NODE_CAP)
     dmask = [sum(1 << x for x in d) for d in assignment]
-    adm = [a | d for a, d in zip(inst.masks, dmask)]
-    wanted = 0
-    for d in dmask:
-        wanted |= d
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def f(u: int) -> tuple[int, tuple[int, ...]]:
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        cap = (wanted & ~u).bit_count()
-        best: tuple[int, tuple[int, ...]] = (0, ())
-        for j in range(inst.n):
-            if best[0] == cap:
-                break
-            inc = (dmask[j] & ~u).bit_count()
-            if inc == 0:
-                continue
-            sub_val, sub_ord = f(u | adm[j])
-            if inc + sub_val > best[0]:
-                best = (inc + sub_val, (j,) + sub_ord)
-        memo[u] = best
-        return best
-
-    return ChainBoundResult(*f(0))
+    ordering: list[int] = []
+    while left:
+        i = next(i for i, (a, d) in enumerate(zip(inst.masks, dmask)) if d & left and not a & left)
+        ordering.append(i)
+        left &= ~dmask[i]
+    return ChainBoundResult(value, tuple(ordering))
 
 
 # ---------- closed forms ----------

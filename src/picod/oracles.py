@@ -89,17 +89,16 @@ class AveragingSuiteSummary:
         return self.failures == 0
 
 
-def random_averaging_suite(
-    trials: int, seed: int, x_max: int = 8, y_max: int = 8
-) -> AveragingSuiteSummary:
-    """Random nonempty block families, each checked against the pair bound."""
+def random_averaging_suite(trials: int, seed: int) -> AveragingSuiteSummary:
+    """Random families of 1 to 8 nonempty blocks over a ground set of 1 to 8
+    elements, each checked against the pair bound."""
     import random
 
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        y = rng.randint(1, y_max)
-        x = rng.randint(1, x_max)
+        y = rng.randint(1, 8)
+        x = rng.randint(1, 8)
         blocks = [_mask(rng.sample(range(y), rng.randint(1, y))) for _ in range(x)]
         i, j = _pair(blocks, (1 << y) - 1)
         c_j = sum(b >> j & 1 for b in blocks)

@@ -432,7 +432,7 @@ class TestBestChainBound:
                 for p in itertools.permutations(range(inst.n))
             )
             res = best_chain_bound(inst, d)
-            assert res.value == want
+            assert res.value == want == mais(inst, d)
 
     def test_matches_brute_force_on_many_users(self):
         rng = seeded(40)
@@ -440,7 +440,7 @@ class TestBestChainBound:
             inst = random_instance(rng, m_max=8, n_min=13, n_max=16, t=rng.randint(1, 2))
             d = random_assignment(rng, inst)
             res = best_chain_bound(inst, d)
-            assert res.value == brute_best_chain(inst, d)
+            assert res.value == brute_best_chain(inst, d) == mais(inst, d)
             assert chain_bound(inst, d, res.ordering) == res.value
 
     @pytest.mark.parametrize("m,t,sizes,want", [
@@ -448,9 +448,10 @@ class TestBestChainBound:
     ])
     def test_report_witness(self, m, t, sizes, want):
         inst = build_complete_s(m, t, sizes)
-        d = full_report(inst).witness_assignment
+        report = full_report(inst)
+        d = report.witness_assignment
         res = best_chain_bound(inst, d)
-        assert res.value == brute_best_chain(inst, d) == want
+        assert res.value == brute_best_chain(inst, d) == want == report.lower_bound
         assert chain_bound(inst, d, res.ordering) == want
 
     def test_layered_instance_reaches_four(self):

@@ -5,8 +5,9 @@ from functools import reduce
 
 import pytest
 
+import picod.bounds
 import picod.verifier
-from picod.bounds import mais, min_mais_lower_bound
+from picod.bounds import best_chain_bound, mais, min_mais_lower_bound
 from picod.coding import LinearCode, build_partition_scheme, optimal_partition
 from picod.errors import SearchOverflow
 from picod.hypergraph import has_one_factor, network_topology
@@ -385,3 +386,10 @@ def test_spent_budget_is_not_a_verdict(search):
     # or None, when it may not spend a single node
     with pytest.raises(SearchOverflow):
         search(0)
+
+
+def test_chain_spends_the_mais_budget(monkeypatch):
+    # the chain is read off mais's search, so it spends the same default budget
+    monkeypatch.setattr(picod.bounds, "DEFAULT_MAIS_NODE_CAP", 0)
+    with pytest.raises(SearchOverflow):
+        best_chain_bound(_SPENT, _SPENT_CHOICE)

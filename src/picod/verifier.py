@@ -10,6 +10,14 @@ is.  Users with the same `known & support` thus share one elimination, the
 same for every field: XOR on int row masks over GF(2), arithmetic mod q on
 coefficient lists otherwise.  `known` is that memo key, an int mask.
 
+The exhaustive code search tries every row space of each dimension, but on
+a complete-S instance, which every message permutation maps to itself,
+validity depends on a code only up to column order.  A rank-ell code has ell
+independent columns (an information set): moved to the front and reduced,
+then with the other columns sorted, it is [I_ell | P] with P a sorted
+multiset of columns, so only those are tried.  A rank-deficient code has a
+shorter basis, already tried at a smaller dimension.
+
 An `Instance` is valid by construction, so only `decodable_closure`, which
 takes any `known`, range-checks its argument.
 """
@@ -18,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator
 
 from .coding import LinearCode
 from .errors import SearchOverflow
-from .instance import Assignment, Instance
+from .instance import Assignment, Instance, complete_s_sizes
 
 
 def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
@@ -163,6 +171,16 @@ def iter_row_spaces(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...],
             yield tuple(tuple(row) for row in rows)
 
 
+def _sorted_systematic(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """[I_ell | P] for each P whose m - ell columns are a sorted multiset of
+    GF(q)^ell; column v has the base-q digit r of v in row r."""
+    for cols in combinations_with_replacement(range(q**ell), m - ell):
+        yield tuple(
+            tuple(int(r == c) for c in range(ell)) + tuple(v // q**r % q for v in cols)
+            for r in range(ell)
+        )
+
+
 DEFAULT_CODE_NODE_CAP = 10**6
 
 
@@ -172,8 +190,10 @@ def min_linear_length_exhaustive(
     ell_max: int | None = None,
     node_cap: int = DEFAULT_CODE_NODE_CAP,
 ) -> tuple[int, LinearCode] | None:
-    """Smallest number of rows of any valid GF(q) code, by trying every row
-    space of each dimension in increasing order.
+    """Smallest number of rows of any valid GF(q) code, by trying the codes
+    of each dimension in increasing order: on a complete-S instance the
+    `_sorted_systematic` codes, which meet every class under column
+    permutation, and on others every row space.
 
     Returns (length, witness code) or None when nothing up to ell_max works.
     Each code tried spends one of node_cap nodes; past them SearchOverflow's
@@ -181,9 +201,10 @@ def min_linear_length_exhaustive(
     """
     if ell_max is None:
         ell_max = inst.m
+    codes = _sorted_systematic if complete_s_sizes(inst) else iter_row_spaces
     budget = node_cap
     for ell in range(0, min(ell_max, inst.m) + 1):
-        for rows in iter_row_spaces(inst.m, ell, q):
+        for rows in codes(inst.m, ell, q):
             if budget <= 0:
                 raise SearchOverflow(f"code search exceeded {node_cap} candidate codes", proven=ell)
             budget -= 1

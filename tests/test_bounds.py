@@ -31,7 +31,7 @@ from picod.instance import (
     user_choices,
     validate_assignment,
 )
-from picod.verifier import induced_assignment, is_valid
+from picod.verifier import induced_assignment, is_valid, min_linear_length_exhaustive
 from util import (
     assignment_count, brute_best_chain, brute_code_valid, brute_mais, brute_min_mais,
     enumerate_assignments, random_assignment, random_instance, seeded,
@@ -354,6 +354,22 @@ class TestShorterThanPartition:
         assert brute_code_valid(2, rows, inst)
         assert len(rows) == min_mais_lower_bound(inst)[0]
         assert len(rows) == optimal_partition(m, 1, sizes).total_cost - 1
+
+    @pytest.mark.parametrize("t,profiles,shorter", [(1, 28, 8), (2, 8, 1)])
+    def test_six_message_census(self, t, profiles, shorter):
+        # among the m = 6 profiles no closed form covers, how many have a
+        # GF(2) code shorter than the partition scheme; each shorter witness
+        # is re-checked by the independent brute-force closure
+        seen = []
+        for r in range(1, 7 - t + 1):
+            for sizes in itertools.combinations(range(6 - t + 1), r):
+                if closed_form_length(6, t, sizes) is None:
+                    inst = build_complete_s(6, t, sizes)
+                    ell, code = min_linear_length_exhaustive(inst, q=2)
+                    seen.append(ell < optimal_partition(6, t, sizes).total_cost)
+                    assert code.ell == ell
+                    assert not seen[-1] or brute_code_valid(2, code.rows, inst)
+        assert (len(seen), sum(seen)) == (profiles, shorter)
 
 
 class TestCriticalInstances:

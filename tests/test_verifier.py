@@ -2,6 +2,7 @@
 
 import time
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -337,9 +338,13 @@ class TestMinLinearLength:
             Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
 
     def test_node_cap_counts_candidate_codes(self):
-        # the empty code and the 15 one-row spaces of GF(2)^4 spend 16 nodes
-        # and all fail; the first two-row space, e_0 and e_1, serves everyone
-        inst = build_complete_s(4, 1, {1})
+        # not complete-S, so every row space is tried.  A one-row code serves
+        # a user when it has one nonzero entry outside the user's set: users
+        # {0}, {1} and {2} force its support to be a single message outside
+        # all three, and {0, 3} rules out message 3.  So the empty code and
+        # the 15 one-row spaces of GF(2)^4 spend 16 nodes and all fail; the
+        # first two-row space, e_0 and e_1, serves everyone
+        inst = Instance(4, 1, (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 3})))
         with pytest.raises(SearchOverflow) as info:
             min_linear_length_exhaustive(inst, q=2, node_cap=16)
         assert info.value.proven == 2
@@ -347,13 +352,59 @@ class TestMinLinearLength:
             2, LinearCode(2, 4, ((1, 0, 0, 0), (0, 1, 0, 0))),
         )
 
+    def test_node_cap_counts_codes_up_to_column_order(self):
+        # complete-S, so only [I | P] with sorted columns is tried: the empty
+        # code and [1 | P] for the four sorted P in GF(2)^3 spend 5 nodes and
+        # fail, as no one-row code serves all of {0}..{3}; the first two-row
+        # code, [I_2 | 0] = e_0 and e_1, serves everyone
+        inst = build_complete_s(4, 1, {1})
+        with pytest.raises(SearchOverflow) as info:
+            min_linear_length_exhaustive(inst, q=2, node_cap=5)
+        assert info.value.proven == 2
+        assert min_linear_length_exhaustive(inst, q=2, node_cap=6) == (
+            2, LinearCode(2, 4, ((1, 0, 0, 0), (0, 1, 0, 0))),
+        )
+
     def test_large_width_is_not_refused_by_size(self):
-        # GF(2)^25 has about 3.4e7 one-dimensional row spaces, but the first
-        # one tried, e_0, already serves the single user
-        inst = Instance(m=25, t=1, users=(frozenset(),))
-        found = min_linear_length_exhaustive(inst, q=2)
-        assert found is not None and found[0] == 1
-        assert is_valid(found[1], inst).valid
+        # one empty user is complete-S for S = {0}, so at most 25 sorted
+        # one-row codes are tried; with {1} added it is not, and GF(2)^25
+        # has about 3.4e7 one-row spaces.  On both, the code after the empty
+        # one, e_0, already serves every user
+        for users in [(frozenset(),), (frozenset(), frozenset({1}))]:
+            inst = Instance(m=25, t=1, users=users)
+            found = min_linear_length_exhaustive(inst, q=2, node_cap=2)
+            assert found is not None and found[0] == 1
+            assert is_valid(found[1], inst).valid
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_complete_s_matches_every_row_space(self, q):
+        # the search up to column order misses no equivalence class: on
+        # every complete-S profile with m <= 5 and t <= 2 it finds the
+        # length that trying every row space finds.  The reference checks
+        # one user at a time and stops at the first unserved one; building
+        # each candidate's full is_valid report takes 6x as long
+        profiles = [
+            (m, t, sizes)
+            for m in range(1, 6)
+            for t in range(1, min(m, 2) + 1)
+            for r in range(1, m - t + 2)
+            for sizes in combinations(range(m - t + 1), r)
+        ]
+        assert len(profiles) == 83
+
+        def serves(rows, inst):
+            code = LinearCode(q, inst.m, rows)
+            return all(len(decodable_closure(code, k)) >= inst.t for k in inst.masks)
+
+        for m, t, sizes in profiles:
+            inst = build_complete_s(m, t, sizes)
+            want = next(
+                ell
+                for ell in range(m + 1)
+                if any(serves(rows, inst) for rows in iter_row_spaces(m, ell, q))
+            )
+            ell, code = min_linear_length_exhaustive(inst, q=q)
+            assert (ell, code.ell) == (want, want), (m, t, sizes)
 
     def test_matches_raw_matrix_enumeration(self):
         from util import brute_min_linear_ell

@@ -247,32 +247,32 @@ MIDDLE_BAND = "middle-band"
 def closed_form_length(m: int, t: int, sizes: Iterable[int]) -> tuple[int, str] | None:
     """Optimal length of the complete-S instance when a known result applies.
 
-    Returns (value, rule name) or None.  Rules are tried in a fixed priority
-    order; the consecutive rule is reserved for profiles of two or more
-    sizes so that one-size profiles report under their own rule (the values
-    agree either way).
+    Returns (value, rule name) or None.  Complement-consecutive S has its own
+    value; every other rule only names the theorem that applies, whose value
+    is min(s_max + t, m - s_min), the cheaper one-group partition scheme
+    (below the middle s_max + s_min <= m - t, so it is s_max + t; above it,
+    m - s_min).  One-size S reports as singleton, not consecutive.
     """
     vals = _as_sizes(sizes, m, t)
     smin, smax = vals[0], vals[-1]
-
-    if len(vals) >= 2 and len(vals) == smax - smin + 1:
-        return min(smax + t, m - smin), CONSECUTIVE
-    if smin == 0 and smax == m - t:
-        comp = sorted(set(range(m - t + 1)).difference(vals))
-        if comp and comp[-1] - comp[0] + 1 == len(comp):
-            return min(m, len(vals) + 2 * t - 2), COMPLEMENT_CONSECUTIVE
-    if len(vals) == 1:
-        return min(smin + t, m - smin), SINGLETON
-    lo_mid = (m - t) // 2
-    hi_mid = (m - t + 1) // 2
-    if smax <= lo_mid:
-        return smax + t, BELOW_MIDDLE
-    if smin >= hi_mid:
-        return m - smin, ABOVE_MIDDLE
+    comp = sorted(set(range(m - t + 1)).difference(vals))
+    if smin == 0 and smax == m - t and comp and comp[-1] - comp[0] + 1 == len(comp):
+        return min(m, len(vals) + 2 * t - 2), COMPLEMENT_CONSECUTIVE
+    lo_mid, hi_mid = (m - t) // 2, (m - t + 1) // 2
     delta = min(smax - hi_mid, lo_mid - smin)
-    if delta >= 0 and set(range(lo_mid - delta, hi_mid + delta + 1)).issubset(vals):
-        return min(smax + t, m - smin), MIDDLE_BAND
-    return None
+    if len(vals) == 1:
+        rule = SINGLETON
+    elif len(vals) == smax - smin + 1:
+        rule = CONSECUTIVE
+    elif smax <= lo_mid:
+        rule = BELOW_MIDDLE
+    elif smin >= hi_mid:
+        rule = ABOVE_MIDDLE
+    elif delta >= 0 and set(range(lo_mid - delta, hi_mid + delta + 1)).issubset(vals):
+        rule = MIDDLE_BAND
+    else:
+        return None
+    return min(smax + t, m - smin), rule
 
 
 # ---------- combined report ----------

@@ -1,6 +1,8 @@
 """Combinatorial machinery behind the converse arguments.
 
-Three independent pieces:
+Three independent pieces, each checked once, where it is reported: a
+function that returns one witness or pair asserts it, a sweep or suite
+counts the failures, and `check_block_cover` names the property that fails.
 
 - intersection families: given s + 1 subsets of a ground set of size s,
   there is always a nonempty index set P whose blocks intersect in exactly
@@ -41,11 +43,12 @@ def _mask(elements: Iterable[int]) -> int:
 
 
 def averaging_pair(blocks: Sequence[frozenset[int]], ground_size: int) -> tuple[int, int]:
-    """(i, j) with j in B_i and c_j * ground_size >= len(blocks) * |B_i|.
+    """(i, j) with j in B_i and c_j * y >= x * |B_i|, for x blocks in range(y).
 
     j maximizes the column weight sum(1 / |B_k|) over blocks containing j,
     compared exactly as integers scaled by the lcm of the block sizes; i is a
-    smallest block containing j.
+    smallest block containing j.  The x blocks weigh x in all, so j weighs at
+    least x / y, and each of its c_j blocks adds at most 1 / |B_i|.
     """
     bl = [frozenset(b) for b in blocks]
     if not bl:
@@ -54,11 +57,13 @@ def averaging_pair(blocks: Sequence[frozenset[int]], ground_size: int) -> tuple[
         raise ValueError("blocks must be nonempty")
     if any(v < 0 or v >= ground_size for b in bl for v in b):
         raise ValueError("block element outside the ground set")
-    return _pair([_mask(b) for b in bl], (1 << ground_size) - 1)
+    i, j = _pair([_mask(b) for b in bl], (1 << ground_size) - 1)
+    assert j in bl[i] and sum(j in b for b in bl) * ground_size >= len(bl) * len(bl[i])
+    return i, j
 
 
 def _pair(masks: Sequence[int], ground: int) -> tuple[int, int]:
-    """averaging_pair on nonempty block masks inside the ground mask."""
+    """averaging_pair on nonempty block masks in the ground mask; asserts the pigeonhole step."""
     sizes = [b.bit_count() for b in masks]
     scale = math.lcm(*sizes)
     weight = [0] * ground.bit_length()
@@ -70,11 +75,8 @@ def _pair(masks: Sequence[int], ground: int) -> tuple[int, int]:
     # columns outside the ground weigh 0, below every column of a block
     j = max(range(len(weight)), key=weight.__getitem__)
     # total weight is len(masks) * scale, so the best column reaches the average
-    y = ground.bit_count()
-    assert weight[j] * y >= len(masks) * scale
-    size, i = min((n, k) for k, (b, n) in enumerate(zip(masks, sizes)) if b >> j & 1)
-    c_j = sum(b >> j & 1 for b in masks)
-    assert c_j * y >= len(masks) * size
+    assert weight[j] * ground.bit_count() >= len(masks) * scale
+    _, i = min((n, k) for k, (b, n) in enumerate(zip(masks, sizes)) if b >> j & 1)
     return i, j
 
 
@@ -102,8 +104,7 @@ def random_averaging_suite(trials: int, seed: int) -> AveragingSuiteSummary:
         blocks = [_mask(rng.sample(range(y), rng.randint(1, y))) for _ in range(x)]
         i, j = _pair(blocks, (1 << y) - 1)
         c_j = sum(b >> j & 1 for b in blocks)
-        if not blocks[i] >> j & 1 or c_j * y < x * blocks[i].bit_count():
-            failures += 1
+        failures += not blocks[i] >> j & 1 or c_j * y < x * blocks[i].bit_count()
     return AveragingSuiteSummary(trials, seed, failures)
 
 
@@ -242,30 +243,30 @@ def _p3_violation(masks: Sequence[int], s: int, t: int) -> tuple[int, ...] | Non
     return dfs(0, -1, ())
 
 
-def _cover_check(masks: Sequence[int], subsets: Sequence[int], s: int, t: int) -> CoverCheck:
-    """P1, then P3, on block masks that pass P2; subsets are the masks of the
-    s-subsets of the ground set, in lexicographic order."""
-    for want in subsets:
-        if not any(want & b == want for b in masks):
-            sub = [v for v in range(want.bit_length()) if want >> v & 1]
-            return CoverCheck(False, "P1", f"subset {sub} uncovered")
-    bad = _p3_violation(masks, s, t)
-    if bad is not None:
-        inter = functools.reduce(int.__and__, (masks[k] for k in bad))
-        return CoverCheck(False, "P3", f"blocks {list(bad)} meet in {inter.bit_count()} elements")
-    return CoverCheck(True)
+def _check_cover_params(m: int, s: int, t: int) -> None:
+    if not (0 <= s < m and t >= 1):
+        raise ValueError(f"block covers need 0 <= s < m and t >= 1, got m={m} s={s} t={t}")
 
 
 def check_block_cover(cover: BlockCover) -> CoverCheck:
     """All three cover properties, reporting the first failure."""
     m, s, t = cover.m, cover.s, cover.t
+    _check_cover_params(m, s, t)
     for b in cover.blocks:
         if any(v < 0 or v >= m for v in b):
             return CoverCheck(False, "P2", f"block {sorted(b)} leaves the ground set")
         if not (s < len(b) <= m):
             return CoverCheck(False, "P2", f"block size {len(b)} outside ({s}, {m}]")
-    subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
-    return _cover_check([_mask(b) for b in cover.blocks], subsets, s, t)
+    masks = [_mask(b) for b in cover.blocks]
+    for sub in itertools.combinations(range(m), s):
+        want = _mask(sub)
+        if not any(want & b == want for b in masks):
+            return CoverCheck(False, "P1", f"subset {list(sub)} uncovered")
+    bad = _p3_violation(masks, s, t)
+    if bad is not None:
+        inter = functools.reduce(int.__and__, (masks[k] for k in bad))
+        return CoverCheck(False, "P3", f"blocks {list(bad)} meet in {inter.bit_count()} elements")
+    return CoverCheck(True)
 
 
 @dataclass(frozen=True)
@@ -295,6 +296,7 @@ def block_cover_impossibility(
     construction.  A count of zero valid covers certifies that bounded-size
     covers cannot exist.
     """
+    _check_cover_params(m, s, t)
     candidates = [
         _mask(c)
         for size in range(s + 1, max_block_size + 1)
@@ -304,11 +306,9 @@ def block_cover_impossibility(
     if total > collection_cap:
         raise CapExceeded("block collections", total, collection_cap)
     subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
-    checked = 0
     valid = 0
     for r in range(len(candidates) + 1):
         for picked in itertools.combinations(candidates, r):
-            checked += 1
-            if _cover_check(picked, subsets, s, t).ok:
-                valid += 1
-    return ImpossibilitySummary(m, s, t, max_block_size, checked, valid)
+            if all(any(w & b == w for b in picked) for w in subsets):
+                valid += _p3_violation(picked, s, t) is None
+    return ImpossibilitySummary(m, s, t, max_block_size, total, valid)

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -504,6 +505,24 @@ class TestClosedForm:
                     for hi in range(lo + 1, m - t + 1):
                         got = closed_form_length(m, t, set(range(lo, hi + 1)))
                         assert got == (min(hi + t, m - lo), CONSECUTIVE)
+
+    def test_every_profile_up_to_nine_messages(self):
+        # every rule but complement-consecutive gives the cheaper one-group
+        # scheme: all users served uncoded, or all by one MDS block
+        rules = Counter()
+        for m in range(1, 10):
+            for t in range(1, m + 1):
+                pool = range(m - t + 1)
+                for r in range(1, len(pool) + 1):
+                    for sizes in itertools.combinations(pool, r):
+                        got = closed_form_length(m, t, sizes)
+                        rules[None if got is None else got[1]] += 1
+                        if got is not None and got[1] != COMPLEMENT_CONSECUTIVE:
+                            assert got[0] == min(sizes[-1] + t, m - sizes[0])
+        assert rules == {
+            SINGLETON: 165, CONSECUTIVE: 330, COMPLEMENT_CONSECUTIVE: 210,
+            BELOW_MIDDLE: 50, ABOVE_MIDDLE: 50, MIDDLE_BAND: 44, None: 1132,
+        }
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import argparse
 import importlib
 import json
 import os
+import pkgutil
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import picod
+from picod import oracles
 from picod.cli import _build_parser, main
 from picod.instance import build_complete_s, instance_wire
 
@@ -539,6 +542,18 @@ class TestOracleCommands:
         assert obj["seed"] == 5
         assert obj["ok"] is True
 
+    def test_lemma4_failed_trial_exits_one(self, capsys, monkeypatch):
+        # the column just outside the ground lies in no block
+        monkeypatch.setattr(oracles, "_pair", lambda masks, ground: (0, ground.bit_length()))
+        rc, out, err = run_cli(
+            capsys, "oracle", "lemma4-random", "--trials", "20", "--seed", "5"
+        )
+        assert rc == 1
+        obj = json.loads(out)
+        assert obj["ok"] is False
+        assert obj["failures"] == 20
+        assert err == ""
+
     def test_lemma4_requires_seed(self):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "lemma4-random", "--trials", "10"])
@@ -562,6 +577,16 @@ class TestOracleCommands:
         )
         assert rc == 1
         assert json.loads(out)["impossible"] is False
+
+    @pytest.mark.parametrize("s", ["5", "3"])
+    def test_block_cover_without_admissible_blocks_exits_two(self, capsys, s):
+        rc, out, err = run_cli(
+            capsys, "oracle", "block-cover",
+            "-m", "3", "-s", s, "-t", "1", "--max-block-size", "2",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "error: block covers need 0 <= s < m and t >= 1, got m=3 s=%s t=1\n" % s
 
     def test_block_cover_cap(self, capsys):
         rc, _, err = run_cli(
@@ -703,6 +728,17 @@ def readme_examples():
 README_EXAMPLES = readme_examples()
 
 
+def readme_cited_names():
+    """(module, name) for every `module.name` or `picod.module.name` that
+    README.md cites from a picod module."""
+    modules = "|".join(m.name for m in pkgutil.iter_modules(picod.__path__))
+    cited = re.findall(rf"`(?:picod\.)?({modules})\.(\w+)", README.read_text())
+    return sorted(set(cited))
+
+
+README_CITED_NAMES = readme_cited_names()
+
+
 def readme_library_example():
     """The ```python block under README.md's "## Library example" heading."""
     section = README.read_text().split("\n## Library example\n", 1)[1]
@@ -721,6 +757,16 @@ class TestReadmeExamples:
         rc, out, _ = run_cli(capsys, *command.split()[1:])
         assert rc == 0
         assert json.loads(out) == json.loads(documented)
+
+    def test_cited_names_are_collected(self):
+        assert ("errors", "SearchOverflow") in README_CITED_NAMES
+        assert ("verifier", "decodable_closure") in README_CITED_NAMES
+
+    @pytest.mark.parametrize(
+        "module,name", README_CITED_NAMES, ids=[f"{m}.{n}" for m, n in README_CITED_NAMES]
+    )
+    def test_cited_name_resolves(self, module, name):
+        assert hasattr(importlib.import_module(f"picod.{module}"), name)
 
     def test_library_example(self, capsys):
         # run the block as written; each print must show its `# ...` comment

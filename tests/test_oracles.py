@@ -77,6 +77,21 @@ class TestAveragingPair:
         assert summary.failures == 0
         assert summary.ok
 
+    def test_suite_counts_a_pair_that_breaks_the_bound(self, monkeypatch):
+        # the column just outside the ground lies in no block
+        monkeypatch.setattr(oracles, "_pair", lambda masks, ground: (0, ground.bit_length()))
+        summary = random_averaging_suite(50, seed=77)
+        assert summary.failures == 50
+        assert not summary.ok
+        with pytest.raises(AssertionError):
+            averaging_pair([frozenset({0}), frozenset({0, 1})], 2)
+
+    def test_public_pair_asserts_the_bound_not_only_membership(self, monkeypatch):
+        # j = 1 lies in B_1 = {0, 1}, but c_1 * 2 = 2 < 3 * 2
+        monkeypatch.setattr(oracles, "_pair", lambda masks, ground: (1, 1))
+        with pytest.raises(AssertionError):
+            averaging_pair([frozenset({0}), frozenset({0, 1}), frozenset({0})], 2)
+
     def test_integer_weights_match_fractions_on_random_families(self):
         rng = seeded(505)
         for _ in range(10_000):
@@ -296,6 +311,12 @@ class TestCheckBlockCover:
         cover = BlockCover(3, 1, 1, (frozenset({0, 1}),))
         assert check_block_cover(cover).failed_property == "P1"
 
+    @pytest.mark.parametrize("m,s,t", [(3, 3, 1), (3, 5, 1), (3, -1, 1), (3, 1, 0)])
+    def test_rejects_parameters_without_a_cover_question(self, m, s, t):
+        # s >= m leaves no admissible block, t = 0 leaves P3 nothing to forbid
+        with pytest.raises(ValueError, match="0 <= s < m and t >= 1"):
+            check_block_cover(BlockCover(m, s, t, (frozenset({0, 1}), frozenset({1, 2}))))
+
     def test_matches_reference_on_random_covers(self):
         rng = seeded(503)
         for _ in range(150):
@@ -364,6 +385,18 @@ class TestBlockCoverImpossibility:
         summary = block_cover_impossibility(m, s, t, b)
         assert summary.collections_checked == 1 << len(candidates)
         assert summary.valid_found == valid
+
+    @pytest.mark.parametrize("m,s,t,b", [(3, 5, 1, 2), (3, 3, 1, 3), (3, 1, 0, 2), (0, 0, 1, 1)])
+    def test_rejects_parameters_without_a_cover_question(self, m, s, t, b):
+        with pytest.raises(ValueError, match="0 <= s < m and t >= 1"):
+            block_cover_impossibility(m, s, t, b)
+
+    def test_s_zero_is_accepted(self):
+        # the empty 0-subset needs some block, and no picked blocks may be
+        # disjoint: {0}, {1}, {0, 1}, {0} + {0, 1} and {1} + {0, 1}
+        summary = block_cover_impossibility(2, 0, 1, 2)
+        assert (summary.collections_checked, summary.valid_found) == (8, 5)
+        assert check_block_cover(BlockCover(2, 0, 1, ())).failed_property == "P1"
 
     def test_collection_cap(self):
         with pytest.raises(CapExceeded):

@@ -37,7 +37,7 @@ from .instance import (
     user_choices,
     validate_assignment,
 )
-from .verifier import induced_assignment, is_valid
+from .verifier import induced_assignment
 
 DEFAULT_MAIS_NODE_CAP = 5 * 10**6
 
@@ -146,8 +146,7 @@ def min_mais_lower_bound(
     # the acyclic sets of the current prefix; a failed search restores both
     fam = {0}
     by_msg: list[tuple[int, list[int]]] = [(1 << x, []) for x in range(inst.m)]
-    choices = [[(d, sum(1 << x for x in d), [by_msg[x] for x in d])
-                for d in user_choices(inst, i)] for i in range(inst.n)]
+    choices: list[list[tuple]] = []  # per user, built when the scan first reaches it
     budget = [node_cap]
 
     def dfs(
@@ -155,6 +154,9 @@ def min_mais_lower_bound(
     ) -> tuple[frozenset[int], ...] | None:
         if i == inst.n:
             return tuple(picked)
+        if i == len(choices):
+            choices.append([(d, sum(1 << x for x in d), [by_msg[x] for x in d])
+                            for d in user_choices(inst, i)])
         a = inst.masks[i]
         cells = refine(cells, a) if len(cells) < inst.m else cells
         orbits = len(cells) < inst.m
@@ -342,14 +344,12 @@ def full_report(
         raise ValueError("instance is not complete for any size profile")
     closed = closed_form_length(inst.m, inst.t, sizes)
     code = build_partition_scheme(optimal_partition(inst.m, inst.t, sizes), q)
-    if not is_valid(code, inst).valid:
-        raise AssertionError("partition scheme failed verification")
+    induced = induced_assignment(code, inst)  # raises unless the code is valid
     try:
         lower, witness_assignment = min_mais_lower_bound(inst, node_cap)
         method = MAIS_EXACT
     except SearchOverflow as exc:
-        lower, method = exc.proven, MAIS_PARTIAL
-        witness_assignment = induced_assignment(code, inst)
+        lower, method, witness_assignment = exc.proven, MAIS_PARTIAL, induced
     return BoundReport(
         m=inst.m,
         t=inst.t,

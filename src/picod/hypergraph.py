@@ -7,9 +7,8 @@ coded transmission satisfying everyone with t = 1; when every edge is a
 contiguous arc under some cyclic order of the users, two transmissions
 always suffice.
 
-Vertices, edges and factors are frozensets and label tuples in the public
-types; below them every vertex set, and every set of positions along a
-cyclic order, is an int bitmask.
+Vertex sets, edges included, and sets of positions along a cyclic order are
+int bitmasks (bit i for vertex or position i); factors are edge-label tuples.
 """
 
 from __future__ import annotations
@@ -28,24 +27,21 @@ DEFAULT_NODE_CAP = 10**6
 @dataclass(frozen=True)
 class Hypergraph:
     n_vertices: int
-    edges: tuple[frozenset[int], ...]
+    edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for e in self.edges:
-            if any(v < 0 or v >= self.n_vertices for v in e):
-                raise ValueError("edge contains an unknown vertex")
+        if any(e < 0 or e >> self.n_vertices for e in self.edges):
+            raise ValueError("edge contains an unknown vertex")
 
     def wire(self) -> dict:
-        return {
-            "n": self.n_vertices,
-            "edges": [sorted(v + 1 for v in e) for e in self.edges],
-        }
+        edges = [[v + 1 for v, c in enumerate(f"{e:b}"[::-1]) if c == "1"] for e in self.edges]
+        return {"n": self.n_vertices, "edges": edges}
 
 
 def network_topology(inst: Instance) -> Hypergraph:
     """Edge j = the users that do not hold message j."""
     edges = tuple(
-        frozenset(i for i, a in enumerate(inst.users) if j not in a)
+        sum(1 << i for i, a in enumerate(inst.masks) if not a >> j & 1)
         for j in range(inst.m)
     )
     return Hypergraph(inst.n, edges)
@@ -54,7 +50,7 @@ def network_topology(inst: Instance) -> Hypergraph:
 def dual(h: Hypergraph) -> Hypergraph:
     """Swap vertices and edges: new edge v = the labels of edges containing v."""
     edges = tuple(
-        frozenset(j for j, e in enumerate(h.edges) if v in e)
+        sum(1 << j for j, e in enumerate(h.edges) if e >> v & 1)
         for v in range(h.n_vertices)
     )
     return Hypergraph(len(h.edges), edges)
@@ -67,7 +63,7 @@ def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int
     usable edges.  Raises SearchOverflow when the node budget runs out, which
     is different from a proven None.
     """
-    labeled = [(j, sum(1 << v for v in e)) for j, e in enumerate(h.edges) if e]
+    labeled = [(j, e) for j, e in enumerate(h.edges) if e]
     chosen: list[int] = []
     budget = node_cap
 
@@ -118,10 +114,9 @@ def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> L
         raise NotAFactor("factor uses an unknown edge label")
     covered = 0
     for j in labels:
-        e = sum(1 << v for v in h.edges[j])
-        if covered & e:
+        if covered & h.edges[j]:
             raise NotAFactor(f"edge {j} overlaps the rest of the factor")
-        covered |= e
+        covered |= h.edges[j]
     if covered != (1 << h.n_vertices) - 1:
         raise NotAFactor("factor leaves a user uncovered")
     row = tuple(1 if j in chosen else 0 for j in range(len(h.edges)))
@@ -135,10 +130,15 @@ def _position_masks(h: Hypergraph, order: Sequence[int]) -> list[int]:
     """Each edge as the bitmask of its vertices' positions along the order."""
     if sorted(order) != list(range(h.n_vertices)):
         raise ValueError("order is not a permutation of the vertices")
-    bit = [0] * h.n_vertices
-    for k, v in enumerate(order):
-        bit[v] = 1 << k
-    return [sum(bit[v] for v in e) for e in h.edges]
+    bit = {1 << v: 1 << k for k, v in enumerate(order)}  # vertex bit -> position bit
+    masks = []
+    for e in h.edges:
+        p = 0
+        while e:
+            p |= bit[e & -e]
+            e &= e - 1
+        masks.append(p)
+    return masks
 
 
 def _runs(mask: int, n: int) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from picod import bounds, verifier
 from picod.bounds import (
     ABOVE_MIDDLE,
     BELOW_MIDDLE,
@@ -257,6 +258,22 @@ class TestMinMais:
         with pytest.raises(SearchOverflow) as info:
             min_mais_lower_bound(inst, node_cap=pops - 1)
         assert info.value.proven == value
+
+    def test_choices_are_built_on_first_visit(self, monkeypatch):
+        # 12,870 users with C(8, 3) choices each, of which 1000 pops reach a
+        # few dozen: building every user's choices first is most of the work
+        inst = build_complete_s(16, 3, {8})
+        users = []
+
+        def counted(inst, user):
+            users.append(user)
+            return user_choices(inst, user)
+
+        monkeypatch.setattr(bounds, "user_choices", counted)
+        with pytest.raises(SearchOverflow) as info:
+            min_mais_lower_bound(inst, node_cap=1000)
+        assert info.value.proven == 4
+        assert len(users) == len(set(users)) < inst.n // 100
 
 
 class TestWideInputs:
@@ -592,6 +609,27 @@ class TestFullReport:
         assert not rep.tight
         assert rep.lower_bound_method == MAIS_EXACT
         assert rep.closed_form is None
+
+    @pytest.mark.parametrize("node_cap,method", [(10**6, MAIS_EXACT), (1, MAIS_PARTIAL)])
+    def test_verifies_its_code_once(self, monkeypatch, node_cap, method):
+        original, codes = verifier.is_valid, []
+
+        def counted(code, inst):
+            codes.append(code)
+            return original(code, inst)
+
+        for module in (verifier, bounds):  # wherever a reference to it is held
+            if getattr(module, "is_valid", None) is original:
+                monkeypatch.setattr(module, "is_valid", counted)
+        rep = full_report(build_complete_s(3, 1, {1}), node_cap=node_cap)
+        assert rep.lower_bound_method == method
+        assert codes == [rep.witness_code]
+
+    def test_invalid_scheme_is_refused(self, monkeypatch):
+        broken = LinearCode(2, 3, ((1, 0, 0),))
+        monkeypatch.setattr(bounds, "build_partition_scheme", lambda partition, q: broken)
+        with pytest.raises(ValueError, match="does not satisfy every user"):
+            full_report(build_complete_s(3, 1, {1}))
 
     def test_spent_budget_reports_partial_bound(self):
         inst = build_complete_s(5, 1, {0, 2, 3})

@@ -748,7 +748,9 @@ def readme_library_example():
 class TestReadmeExamples:
     def test_every_file_free_example_is_collected(self):
         commands = [command.split()[1] for command, _ in README_EXAMPLES]
-        assert commands == ["gen", "report", "oracle", "oracle", "oracle"]
+        assert commands == [
+            "gen", "report", "hypergraph", "hypergraph", "hypergraph", "oracle", "oracle", "oracle",
+        ]
 
     @pytest.mark.parametrize(
         "command,documented", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES]

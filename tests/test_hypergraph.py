@@ -21,6 +21,20 @@ from picod.verifier import is_valid
 from util import brute_exact_cover, brute_is_arc, random_arc_instance, seeded
 
 
+def mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def edges(*sets):
+    """Hypergraph edges, as int masks, from vertex sets."""
+    return tuple(mask(e) for e in sets)
+
+
+def members(edge):
+    """The vertex set of an edge mask, for the set-based brute-force oracles."""
+    return frozenset(v for v in range(edge.bit_length()) if edge >> v & 1)
+
+
 def arc_instance(n, arcs, m=None):
     """Instance whose identity-order topology has the given position arcs."""
     m = len(arcs) if m is None else m
@@ -32,22 +46,22 @@ def arc_instance(n, arcs, m=None):
 
 def random_hypergraph(rng, n_max=9, e_max=7):
     n = rng.randint(1, n_max)
-    edges = []
+    sets = []
     for _ in range(rng.randint(0, e_max)):
         size = rng.randint(0, n)
-        edges.append(frozenset(rng.sample(range(n), size)))
-    return Hypergraph(n, tuple(edges))
+        sets.append(frozenset(rng.sample(range(n), size)))
+    return Hypergraph(n, edges(*sets))
 
 
 class TestHypergraphType:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):
-            Hypergraph(2, (frozenset({0, 2}),))
+            Hypergraph(2, edges({0, 2}))
         with pytest.raises(ValueError):
-            Hypergraph(1, (frozenset({-1}),))
+            Hypergraph(1, (-1,))  # a negative mask: no vertex set at all
 
     def test_json_wire_is_one_based(self):
-        h = Hypergraph(3, (frozenset({0, 2}), frozenset()))
+        h = Hypergraph(3, edges({0, 2}, set()))
         obj = h.wire()
         assert obj == {"n": 3, "edges": [[1, 3], []]}
 
@@ -58,21 +72,17 @@ class TestNetworkTopology:
         topo = network_topology(inst)
         # users in lex order: {0,1},{0,2},{1,2}; edge j holds the one user
         # without message j
-        assert topo.edges == (frozenset({2}), frozenset({1}), frozenset({0}))
+        assert topo.edges == edges({2}, {1}, {0})
 
     def test_empty_side_information(self):
         inst = build_complete_s(2, 1, {0})
         topo = network_topology(inst)
-        assert topo.edges == (frozenset({0}), frozenset({0}))
+        assert topo.edges == edges({0}, {0})
 
     def test_singleton_side_information_triangle(self):
         inst = build_complete_s(3, 1, {1})
         topo = network_topology(inst)
-        assert topo.edges == (
-            frozenset({1, 2}),
-            frozenset({0, 2}),
-            frozenset({0, 1}),
-        )
+        assert topo.edges == edges({1, 2}, {0, 2}, {0, 1})
 
     def test_dual_of_topology_lists_missing_sets(self):
         rng = seeded(402)
@@ -81,7 +91,7 @@ class TestNetworkTopology:
             back = dual(network_topology(inst))
             assert back.n_vertices == inst.m
             for i, a in enumerate(inst.users):
-                assert back.edges[i] == frozenset(range(inst.m)) - a
+                assert back.edges[i] == mask(frozenset(range(inst.m)) - a)
 
 
 class TestDual:
@@ -92,20 +102,15 @@ class TestDual:
             assert dual(dual(h)) == h
 
     def test_single_vertex_single_edge_is_self_dual(self):
-        h = Hypergraph(1, (frozenset({0}),))
+        h = Hypergraph(1, edges({0}))
         assert dual(h) == h
 
     def test_swaps_counts(self):
-        h = Hypergraph(4, (frozenset({0, 1}), frozenset({2}),))
+        h = Hypergraph(4, edges({0, 1}, {2}))
         d = dual(h)
         assert d.n_vertices == 2
         assert len(d.edges) == 4
-        assert d.edges == (
-            frozenset({0}),
-            frozenset({0}),
-            frozenset({1}),
-            frozenset(),
-        )
+        assert d.edges == edges({0}, {0}, {1}, set())
 
     def test_uniform_side_information_dualizes_to_uniform_hypergraph(self):
         # every user holds an s-set, so the dual of the topology is the
@@ -113,7 +118,7 @@ class TestDual:
         m, s = 4, 2
         inst = build_complete_s(m, 1, {s})
         d = dual(network_topology(inst))
-        expected = {frozenset(c) for c in itertools.combinations(range(m), m - s)}
+        expected = {mask(c) for c in itertools.combinations(range(m), m - s)}
         assert set(d.edges) == expected
         assert len(d.edges) == len(expected)
 
@@ -128,13 +133,11 @@ class TestHasOneFactor:
         assert has_one_factor(network_topology(inst)) is None
 
     def test_two_disjoint_pairs(self):
-        h = Hypergraph(
-            4, (frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2}))
-        )
+        h = Hypergraph(4, edges({0, 1}, {2, 3}, {1, 2}))
         assert has_one_factor(h) == (0, 1)
 
     def test_empty_edges_are_ignored(self):
-        h = Hypergraph(2, (frozenset(), frozenset({0, 1})))
+        h = Hypergraph(2, edges(set(), {0, 1}))
         assert has_one_factor(h) == (1,)
 
     def test_no_vertices_needs_no_edges(self):
@@ -149,14 +152,15 @@ class TestHasOneFactor:
         rng = seeded(404)
         for _ in range(40):
             h = random_hypergraph(rng)
-            brute = brute_exact_cover(h.n_vertices, list(h.edges))
+            sets = [members(e) for e in h.edges]
+            brute = brute_exact_cover(h.n_vertices, sets)
             found = has_one_factor(h)
             assert (found is None) == (brute is None)
             if found is not None:
                 covered = set()
                 for j in found:
-                    assert not covered & h.edges[j]
-                    covered |= h.edges[j]
+                    assert not covered & sets[j]
+                    covered |= sets[j]
                 assert covered == set(range(h.n_vertices))
 
 
@@ -169,11 +173,11 @@ class TestOneTransmissionCode:
         assert is_valid(code, inst).valid
 
     def test_field_choice_is_kept(self):
-        h = Hypergraph(2, (frozenset({0}), frozenset({1})))
+        h = Hypergraph(2, edges({0}, {1}))
         assert one_transmission_code(h, (0, 1), q=5).q == 5
 
     def test_rejections(self):
-        h = Hypergraph(2, (frozenset({0}), frozenset({1}), frozenset({0, 1})))
+        h = Hypergraph(2, edges({0}, {1}, {0, 1}))
         with pytest.raises(NotAFactor):
             one_transmission_code(Hypergraph(0, ()), ())
         with pytest.raises(NotAFactor):
@@ -188,23 +192,23 @@ class TestOneTransmissionCode:
 
 class TestVerifyCircularArc:
     def test_intervals_pass(self):
-        h = Hypergraph(4, (frozenset({0, 1}), frozenset({1, 2, 3})))
+        h = Hypergraph(4, edges({0, 1}, {1, 2, 3}))
         assert verify_circular_arc(h, (0, 1, 2, 3))
 
     def test_split_edge_fails(self):
-        h = Hypergraph(4, (frozenset({0, 2}),))
+        h = Hypergraph(4, edges({0, 2}))
         assert not verify_circular_arc(h, (0, 1, 2, 3))
 
     def test_wrap_around_edge_passes(self):
-        h = Hypergraph(4, (frozenset({3, 0}),))
+        h = Hypergraph(4, edges({3, 0}))
         assert verify_circular_arc(h, (0, 1, 2, 3))
 
     def test_trivial_edges_pass(self):
-        h = Hypergraph(3, (frozenset(), frozenset({1}), frozenset({0, 1, 2})))
+        h = Hypergraph(3, edges(set(), {1}, {0, 1, 2}))
         assert verify_circular_arc(h, (0, 1, 2))
 
     def test_other_orders_can_repair_an_edge(self):
-        h = Hypergraph(4, (frozenset({0, 2}),))
+        h = Hypergraph(4, edges({0, 2}))
         assert verify_circular_arc(h, (0, 2, 1, 3))
 
     def test_non_permutation_rejected(self):
@@ -221,18 +225,18 @@ class TestVerifyCircularArc:
         for _ in range(400):
             n = rng.randint(1, 9)
             order = rng.sample(range(n), n)
-            edges = []
+            sets = []
             for _ in range(rng.randint(0, 5)):
                 if rng.random() < 0.5:
-                    edges.append(frozenset(rng.sample(range(n), rng.randint(0, n))))
+                    sets.append(frozenset(rng.sample(range(n), rng.randint(0, n))))
                 else:
                     start, length = rng.randrange(n), rng.randint(0, n)
-                    edges.append(frozenset(order[(start + k) % n] for k in range(length)))
-            for e in edges:
-                got = verify_circular_arc(Hypergraph(n, (e,)), order)
+                    sets.append(frozenset(order[(start + k) % n] for k in range(length)))
+            for e in sets:
+                got = verify_circular_arc(Hypergraph(n, edges(e)), order)
                 assert got == brute_is_arc(e, order), (n, order, e)
-            got = verify_circular_arc(Hypergraph(n, tuple(edges)), order)
-            assert got == all(brute_is_arc(e, order) for e in edges)
+            got = verify_circular_arc(Hypergraph(n, edges(*sets)), order)
+            assert got == all(brute_is_arc(e, order) for e in sets)
 
 
 class TestSchemePreconditions:
@@ -412,8 +416,7 @@ class TestSchemeRandom:
             assert is_valid(code, inst).valid
             assert (trace.factor is not None) == (code.ell == 1)
             # the walk keys survivors by start: no two may share one
-            masks = {j: sum(1 << v for v in e)
-                     for j, e in enumerate(network_topology(inst).edges) if e}
+            masks = {j: e for j, e in enumerate(network_topology(inst).edges) if e}
             survivors, _ = _drop_dominated(masks)
             starts = [
                 p for e in survivors.values() for p in range(inst.n)
@@ -449,7 +452,7 @@ class TestSchemeRandom:
             )
             for entry in trace.gap_covers:
                 gap = {p - 1 for p in entry["gap_positions"]}
-                assert gap <= topo.edges[entry["label"] - 1]
+                assert gap <= members(topo.edges[entry["label"] - 1])
 
     def test_trace_serializes(self):
         inst = build_complete_s(3, 1, {1})

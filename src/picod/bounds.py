@@ -37,7 +37,7 @@ from .instance import (
     user_choices,
     validate_assignment,
 )
-from .verifier import induced_assignment
+from .verifier import is_valid
 
 DEFAULT_MAIS_NODE_CAP = 5 * 10**6
 
@@ -344,12 +344,15 @@ def full_report(
         raise ValueError("instance is not complete for any size profile")
     closed = closed_form_length(inst.m, inst.t, sizes)
     code = build_partition_scheme(optimal_partition(inst.m, inst.t, sizes), q)
-    induced = induced_assignment(code, inst)  # raises unless the code is valid
+    report = is_valid(code, inst)
+    if not report.valid:
+        raise ValueError("partition scheme does not satisfy every user")
     try:
         lower, witness_assignment = min_mais_lower_bound(inst, node_cap)
         method = MAIS_EXACT
     except SearchOverflow as exc:
-        lower, method, witness_assignment = exc.proven, MAIS_PARTIAL, induced
+        lower, method = exc.proven, MAIS_PARTIAL
+        witness_assignment = report.assignment(inst.t)
     return BoundReport(
         m=inst.m,
         t=inst.t,

@@ -39,21 +39,12 @@ class Hypergraph:
 
 
 def network_topology(inst: Instance) -> Hypergraph:
-    """Edge j = the users that do not hold message j."""
-    edges = tuple(
-        sum(1 << i for i, a in enumerate(inst.masks) if not a >> j & 1)
-        for j in range(inst.m)
-    )
-    return Hypergraph(inst.n, edges)
-
-
-def dual(h: Hypergraph) -> Hypergraph:
-    """Swap vertices and edges: new edge v = the labels of edges containing v."""
-    edges = tuple(
-        sum(1 << j for j, e in enumerate(h.edges) if e >> v & 1)
-        for v in range(h.n_vertices)
-    )
-    return Hypergraph(len(h.edges), edges)
+    """Edge j = the users that do not hold message j: column m - 1 - j of
+    the users' missing-message bit strings, last user first, read in base 2
+    (the zero row keeps m columns when there are no users)."""
+    m, full = inst.m, (1 << inst.m) - 1
+    rows = ["0" * m, *(f"{full & ~a:0{m}b}" for a in reversed(inst.masks))]
+    return Hypergraph(inst.n, tuple(int("".join(c), 2) for c in zip(*rows))[::-1])
 
 
 def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int, ...] | None:

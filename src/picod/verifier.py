@@ -10,13 +10,16 @@ is.  Users with the same `known & support` thus share one elimination, the
 same for every field: XOR on int row masks over GF(2), arithmetic mod q on
 coefficient lists otherwise.  `known` is that memo key, an int mask.
 
-The exhaustive code search tries every row space of each dimension, but on
-a complete-S instance, which every message permutation maps to itself,
-validity depends on a code only up to column order.  A rank-ell code has ell
-independent columns (an information set): moved to the front and reduced,
-then with the other columns sorted, it is [I_ell | P] with P a sorted
-multiset of columns, so only those are tried.  A rank-deficient code has a
-shorter basis, already tried at a smaller dimension.
+The exhaustive code search uses the same fact: how many messages a user
+decodes depends only on the multiset of the code's columns at the messages
+it lacks.  It places a code's columns depth first and checks each user once
+its last unknown column is placed, one elimination per distinct multiset.
+A complete-S instance is mapped to itself by every message permutation, so
+only [I_ell | P] with P's columns nondecreasing is tried: a rank-ell code
+with an information set moved to the front, reduced and sorted.  Other
+instances take columns in reduced echelon order, each the next pivot or a
+value below q**rank, meeting every row space once.  A rank-deficient code
+has a shorter basis, tried at a smaller length.
 
 An `Instance` is valid by construction, so only `decodable_closure`, which
 takes any `known`, range-checks its argument.
@@ -26,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .coding import LinearCode
 from .errors import SearchOverflow
@@ -93,6 +95,10 @@ class DecodabilityReport:
     valid: bool
     per_user: tuple[UserDecoding, ...]
 
+    def assignment(self, t: int) -> Assignment:
+        """The t lexicographically smallest decoded messages of every user."""
+        return tuple(frozenset(sorted(u.decoded)[:t]) for u in self.per_user)
+
     def wire(self) -> dict:
         return {
             "valid": self.valid,
@@ -116,11 +122,6 @@ def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
         yield memo[key]
 
 
-def _satisfies(code: LinearCode, inst: Instance) -> bool:
-    """Validity check with early exit, no report construction."""
-    return all(len(d) >= inst.t for d in _closures(code, inst))
-
-
 def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     """Closure of every user, and whether each decodes at least t messages.
 
@@ -142,43 +143,15 @@ def induced_assignment(code: LinearCode, inst: Instance) -> Assignment:
     report = is_valid(code, inst)
     if not report.valid:
         raise ValueError("code does not satisfy every user")
-    return tuple(frozenset(sorted(u.decoded)[: inst.t]) for u in report.per_user)
+    return report.assignment(inst.t)
 
 
-# ---------- exhaustive search over row spaces ----------
+# ---------- exhaustive search, column by column ----------
 
 
-def iter_row_spaces(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """One canonical reduced-echelon basis per ell-dimensional row space."""
-    if ell == 0:
-        yield ()
-        return
-    for pivots in combinations(range(m), ell):
-        pivot_set = set(pivots)
-        free = [
-            (r, c)
-            for r in range(ell)
-            for c in range(pivots[r] + 1, m)
-            if c not in pivot_set
-        ]
-        base = [[0] * m for _ in range(ell)]
-        for r, p in enumerate(pivots):
-            base[r][p] = 1
-        for fill in product(range(q), repeat=len(free)):
-            rows = [list(row) for row in base]
-            for (r, c), v in zip(free, fill):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
-
-
-def _sorted_systematic(m: int, ell: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """[I_ell | P] for each P whose m - ell columns are a sorted multiset of
-    GF(q)^ell; column v has the base-q digit r of v in row r."""
-    for cols in combinations_with_replacement(range(q**ell), m - ell):
-        yield tuple(
-            tuple(int(r == c) for c in range(ell)) + tuple(v // q**r % q for v in cols)
-            for r in range(ell)
-        )
+def _rows(cols: Sequence[int], ell: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The ell rows whose column j has the base-q digit r of cols[j] in row r."""
+    return tuple(tuple(v // q**r % q for v in cols) for r in range(ell))
 
 
 DEFAULT_CODE_NODE_CAP = 10**6
@@ -190,25 +163,56 @@ def min_linear_length_exhaustive(
     ell_max: int | None = None,
     node_cap: int = DEFAULT_CODE_NODE_CAP,
 ) -> tuple[int, LinearCode] | None:
-    """Smallest number of rows of any valid GF(q) code, by trying the codes
-    of each dimension in increasing order: on a complete-S instance the
-    `_sorted_systematic` codes, which meet every class under column
-    permutation, and on others every row space.
-
-    Returns (length, witness code) or None when nothing up to ell_max works.
-    Each code tried spends one of node_cap nodes; past them SearchOverflow's
-    `proven` is the length being tried, as every shorter one is refuted.
+    """Smallest number of rows of any valid GF(q) code, by the column search
+    of the module docstring; a column is an int whose base-q digit r is its
+    entry in row r.  Returns (length, witness code) or None when nothing up
+    to ell_max works.  Each placed column spends one of node_cap nodes; past
+    them SearchOverflow's `proven` is the length being tried, as every
+    shorter one is refuted.
     """
-    if ell_max is None:
-        ell_max = inst.m
-    codes = _sorted_systematic if complete_s_sizes(inst) else iter_row_spaces
+    m = inst.m
+    ell_max = m if ell_max is None else ell_max
+    complete = bool(complete_s_sizes(inst))
+    full = (1 << m) - 1
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for u in {full & ~a for a in inst.masks}:
+        checks[u.bit_length() - 1].append(tuple(c for c in range(m) if u >> c & 1))
     budget = node_cap
-    for ell in range(0, min(ell_max, inst.m) + 1):
-        for rows in codes(inst.m, ell, q):
-            if budget <= 0:
-                raise SearchOverflow(f"code search exceeded {node_cap} candidate codes", proven=ell)
-            budget -= 1
-            code = LinearCode(q, inst.m, rows)
-            if _satisfies(code, inst):
-                return ell, code
+    cols = [0] * m
+    # sorted unknown columns -> served; one memo for every length, as a value
+    # below q**ell has only zero digits in the rows past ell
+    served: dict[tuple[int, ...], bool] = {}
+
+    for ell in range(min(ell_max, m) + 1):
+
+        def serves(unknown: tuple[int, ...]) -> bool:
+            key = tuple(sorted(map(cols.__getitem__, unknown)))
+            if key not in served:
+                small = LinearCode(q, len(key), _rows(key, ell, q))
+                served[key] = len(decodable_closure(small, 0)) >= inst.t
+            return served[key]
+
+        def place(j: int, rank: int) -> bool:
+            nonlocal budget
+            if j == m:
+                return True
+            values = [q**rank] if rank < ell else []
+            # a free column once the pivots are placed (complete-S), or while
+            # the columns left can still reach rank ell (echelon order)
+            if (rank == ell) if complete else (m - j > ell - rank):
+                values += range(cols[j - 1] if complete and j > ell else 0, q**rank)
+            for v in values:
+                if budget <= 0:
+                    raise SearchOverflow(f"code search exceeded {node_cap} placed columns", proven=ell)
+                budget -= 1
+                cols[j] = v
+                failed = next((i for i, u in enumerate(checks[j]) if not serves(u)), -1)
+                if failed >= 0:  # check it first at this column's next value
+                    checks[j].insert(0, checks[j].pop(failed))
+                elif place(j + 1, rank + (v >= q**rank)):
+                    return True
+            return False
+
+        if place(0, 0):
+            return ell, LinearCode(q, m, _rows(cols, ell, q))
     return None

@@ -9,7 +9,6 @@ from picod.hypergraph import (
     Hypergraph,
     _drop_dominated,
     circular_arc_scheme_with_trace,
-    dual,
     has_one_factor,
     network_topology,
     one_transmission_code,
@@ -18,7 +17,7 @@ from picod.hypergraph import (
 from picod.instance import Instance, build_complete_s
 from picod.verifier import is_valid
 
-from util import brute_exact_cover, brute_is_arc, random_arc_instance, seeded
+from util import brute_exact_cover, brute_is_arc, random_arc_instance, random_instance, seeded
 
 
 def mask(vertices):
@@ -84,43 +83,14 @@ class TestNetworkTopology:
         topo = network_topology(inst)
         assert topo.edges == edges({1, 2}, {0, 2}, {0, 1})
 
-    def test_dual_of_topology_lists_missing_sets(self):
+    def test_edges_list_the_users_missing_each_message(self):
         rng = seeded(402)
-        for _ in range(20):
-            inst = random_arc_instance(rng, n_max=10, m_max=6)
-            back = dual(network_topology(inst))
-            assert back.n_vertices == inst.m
-            for i, a in enumerate(inst.users):
-                assert back.edges[i] == mask(frozenset(range(inst.m)) - a)
-
-
-class TestDual:
-    def test_involution(self):
-        rng = seeded(403)
-        for _ in range(30):
-            h = random_hypergraph(rng)
-            assert dual(dual(h)) == h
-
-    def test_single_vertex_single_edge_is_self_dual(self):
-        h = Hypergraph(1, edges({0}))
-        assert dual(h) == h
-
-    def test_swaps_counts(self):
-        h = Hypergraph(4, edges({0, 1}, {2}))
-        d = dual(h)
-        assert d.n_vertices == 2
-        assert len(d.edges) == 4
-        assert d.edges == edges({0}, {0}, {1}, set())
-
-    def test_uniform_side_information_dualizes_to_uniform_hypergraph(self):
-        # every user holds an s-set, so the dual of the topology is the
-        # complete (m-s)-uniform hypergraph on the messages
-        m, s = 4, 2
-        inst = build_complete_s(m, 1, {s})
-        d = dual(network_topology(inst))
-        expected = {mask(c) for c in itertools.combinations(range(m), m - s)}
-        assert set(d.edges) == expected
-        assert len(d.edges) == len(expected)
+        for inst in [Instance(3, 1, ())] + [random_instance(rng, 7, 40) for _ in range(60)]:
+            topo = network_topology(inst)
+            assert topo.n_vertices == inst.n
+            assert topo.edges == tuple(
+                mask(i for i, a in enumerate(inst.users) if j not in a) for j in range(inst.m)
+            )
 
 
 class TestHasOneFactor:

@@ -17,13 +17,13 @@ from picod.verifier import (
     decodable_closure,
     induced_assignment,
     is_valid,
-    iter_row_spaces,
     min_linear_length_exhaustive,
 )
 from util import (
     brute_closure,
     brute_code_valid,
     brute_row_space_count,
+    iter_row_spaces,
     random_instance,
     seeded,
 )
@@ -338,41 +338,45 @@ class TestMinLinearLength:
             Instance(3, 1, (frozenset({0}), frozenset({0, bad})))
 
     def test_node_cap_counts_candidate_codes(self):
-        # not complete-S, so every row space is tried.  A one-row code serves
-        # a user when it has one nonzero entry outside the user's set: users
-        # {0}, {1} and {2} force its support to be a single message outside
-        # all three, and {0, 3} rules out message 3.  So the empty code and
-        # the 15 one-row spaces of GF(2)^4 spend 16 nodes and all fail; the
-        # first two-row space, e_0 and e_1, serves everyone
+        # not complete-S, so columns follow reduced echelon order, pivot
+        # first.  A node is one placed column.  Users {0}, {1}, {2} lack
+        # message 3 and are checked at column 3; {0, 3} at column 2.  The
+        # empty code fails {0, 3} at column 2 (3 nodes).  At length 1 the
+        # first column is e_0 or 0; each subtree places 11 columns before a
+        # check fails, as no one-row code serves everyone (22 nodes).  The
+        # first two-row code, e_0 and e_1, places its 4 columns: 3 + 22 + 4
         inst = Instance(4, 1, (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 3})))
         with pytest.raises(SearchOverflow) as info:
-            min_linear_length_exhaustive(inst, q=2, node_cap=16)
+            min_linear_length_exhaustive(inst, q=2, node_cap=28)
         assert info.value.proven == 2
-        assert min_linear_length_exhaustive(inst, q=2, node_cap=17) == (
+        assert min_linear_length_exhaustive(inst, q=2, node_cap=29) == (
             2, LinearCode(2, 4, ((1, 0, 0, 0), (0, 1, 0, 0))),
         )
 
     def test_node_cap_counts_codes_up_to_column_order(self):
-        # complete-S, so only [I | P] with sorted columns is tried: the empty
-        # code and [1 | P] for the four sorted P in GF(2)^3 spend 5 nodes and
-        # fail, as no one-row code serves all of {0}..{3}; the first two-row
-        # code, [I_2 | 0] = e_0 and e_1, serves everyone
+        # complete-S, so only [I | P] with nondecreasing P is tried, one
+        # placed column per node.  User {3} is checked at column 2, the
+        # others at column 3.  The empty code fails {3} at column 2 (3
+        # nodes); [1 | P] places 8 columns before every branch fails, as no
+        # one-row code serves all of {0}..{3}; the first two-row code,
+        # [I_2 | 0] = e_0 and e_1, places its 4 columns: 3 + 8 + 4
         inst = build_complete_s(4, 1, {1})
         with pytest.raises(SearchOverflow) as info:
-            min_linear_length_exhaustive(inst, q=2, node_cap=5)
+            min_linear_length_exhaustive(inst, q=2, node_cap=14)
         assert info.value.proven == 2
-        assert min_linear_length_exhaustive(inst, q=2, node_cap=6) == (
+        assert min_linear_length_exhaustive(inst, q=2, node_cap=15) == (
             2, LinearCode(2, 4, ((1, 0, 0, 0), (0, 1, 0, 0))),
         )
 
     def test_large_width_is_not_refused_by_size(self):
-        # one empty user is complete-S for S = {0}, so at most 25 sorted
-        # one-row codes are tried; with {1} added it is not, and GF(2)^25
-        # has about 3.4e7 one-row spaces.  On both, the code after the empty
-        # one, e_0, already serves every user
+        # one empty user is complete-S for S = {0}; with {1} added it is
+        # not, and GF(2)^25 has about 3.4e7 one-row spaces.  Both users lack
+        # message 24, so each code is checked once its 25 columns are
+        # placed: the empty code spends 25 nodes and fails, and the first
+        # one-row code, e_0, spends 25 more and serves every user
         for users in [(frozenset(),), (frozenset(), frozenset({1}))]:
             inst = Instance(m=25, t=1, users=users)
-            found = min_linear_length_exhaustive(inst, q=2, node_cap=2)
+            found = min_linear_length_exhaustive(inst, q=2, node_cap=50)
             assert found is not None and found[0] == 1
             assert is_valid(found[1], inst).valid
 
@@ -407,16 +411,30 @@ class TestMinLinearLength:
             assert (ell, code.ell) == (want, want), (m, t, sizes)
 
     def test_matches_raw_matrix_enumeration(self):
+        # random instances, mostly not complete-S, so the search meets them
+        # in echelon column order; the reference tries every q-ary matrix
         from util import brute_min_linear_ell
 
         rng = seeded(26)
-        for _ in range(6):
-            inst = random_instance(rng, m_max=3, n_max=4, t=1)
-            want = brute_min_linear_ell(inst, 2, 2)
-            found = min_linear_length_exhaustive(inst, q=2, ell_max=2)
-            got = None if found is None else found[0]
-            assert got == want
+        lengths = []
+        for q, m_max in [(2, 4), (3, 3)]:
+            for _ in range(16):
+                inst = random_instance(rng, m_max=m_max, n_max=4, t=rng.randint(1, 2))
+                want = brute_min_linear_ell(inst, q, 2)
+                found = min_linear_length_exhaustive(inst, q=q, ell_max=2)
+                assert (None if found is None else found[0]) == want, (q, inst)
+                assert found is None or is_valid(found[1], inst).valid
+                lengths.append(want)
+        assert {1, 2, None} <= set(lengths)
 
+    def test_beats_partition_on_alternate_sizes(self):
+        # m=9 t=1 S={0,2,4,6,8}: the partition scheme sends 8 rows, and a
+        # GF(2) code of 5 serves everyone
+        inst = build_complete_s(9, 1, {0, 2, 4, 6, 8})
+        assert build_partition_scheme(optimal_partition(9, 1, {0, 2, 4, 6, 8})).ell == 8
+        ell, code = min_linear_length_exhaustive(inst, 2)
+        assert (ell, code.ell) == (5, 5)
+        assert is_valid(code, inst).valid
 
 _SPENT = build_complete_s(4, 1, {1})
 _SPENT_CHOICE = tuple(frozenset({min(set(range(4)) - a)}) for a in _SPENT.users)

@@ -51,6 +51,29 @@ def brute_row_space_count(m, ell, q):
     return len(spaces)
 
 
+def iter_row_spaces(m, ell, q):
+    """One canonical reduced-echelon basis per ell-dimensional row space."""
+    if ell == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(m), ell):
+        pivot_set = set(pivots)
+        free = [
+            (r, c)
+            for r in range(ell)
+            for c in range(pivots[r] + 1, m)
+            if c not in pivot_set
+        ]
+        base = [[0] * m for _ in range(ell)]
+        for r, p in enumerate(pivots):
+            base[r][p] = 1
+        for fill in itertools.product(range(q), repeat=len(free)):
+            rows = [list(row) for row in base]
+            for (r, c), v in zip(free, fill):
+                rows[r][c] = v
+            yield tuple(tuple(row) for row in rows)
+
+
 def brute_det(matrix, q):
     """Determinant mod q of a square matrix, as the Leibniz sum over every
     permutation, signed by its inversion count."""

@@ -33,7 +33,6 @@ from .instance import (
     Instance,
     _as_sizes,
     assignment_to_lists,
-    complete_s_sizes,
     user_choices,
     validate_assignment,
 )
@@ -127,7 +126,7 @@ def min_mais_lower_bound(
     that it raises SearchOverflow whose `proven` is the target it was working
     on: every smaller value was refuted, so the minimum is at least that.
 
-    On a complete-S instance (`complete_s_sizes`) every message permutation maps
+    On a complete-S instance (`inst.complete_s_sizes`) every message permutation maps
     the instance to itself.  At depth i the messages split into cells, the
     atoms of A_0, d_0, ..., A_{i-1}, d_{i-1}, A_i; a permutation keeping each
     cell fixes users 0..i (their side information is distinct) and reorders
@@ -138,7 +137,7 @@ def min_mais_lower_bound(
     witness agree with it.  Elsewhere each message is its own cell.  Once all
     cells are singletons, refining and counting prune nothing and are skipped.
     """
-    cells0 = [(1 << inst.m) - 1] if complete_s_sizes(inst) else [1 << x for x in range(inst.m)]
+    cells0 = [(1 << inst.m) - 1] if inst.complete_s_sizes else [1 << x for x in range(inst.m)]
 
     def refine(cells: list[int], s: int) -> list[int]:
         return [p for c in cells for p in (c & s, c & ~s) if p]
@@ -324,11 +323,7 @@ class BoundReport:
         }
 
 
-def full_report(
-    inst: Instance,
-    q: int | None = None,
-    node_cap: int = DEFAULT_MAIS_NODE_CAP,
-) -> BoundReport:
+def full_report(inst: Instance, node_cap: int = DEFAULT_MAIS_NODE_CAP) -> BoundReport:
     """Bounds, closed form, and a verified witness code for one complete-S
     instance, its users in any order; S is the set of their sizes.
 
@@ -339,11 +334,11 @@ def full_report(
     possibly below the exact bound; the witness assignment is then the one
     the scheme induces.  Either way it lists users in inst's order.
     """
-    sizes = complete_s_sizes(inst)
+    sizes = inst.complete_s_sizes
     if not sizes:
         raise ValueError("instance is not complete for any size profile")
     closed = closed_form_length(inst.m, inst.t, sizes)
-    code = build_partition_scheme(optimal_partition(inst.m, inst.t, sizes), q)
+    code = build_partition_scheme(optimal_partition(inst.m, inst.t, sizes))
     report = is_valid(code, inst)
     if not report.valid:
         raise ValueError("partition scheme does not satisfy every user")

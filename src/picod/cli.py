@@ -93,12 +93,20 @@ def _emit(args: argparse.Namespace, obj: object) -> None:
         print(text)
 
 
+def _read_json(path: str) -> object:
+    """The JSON value in a UTF-8 file; a decode or parse error names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_instance(args: argparse.Namespace) -> Instance:
     params = (args.m, args.t, args.sizes)
     if args.instance:
         if any(p is not None for p in params):
             raise ValueError("give --instance or -m, -t and -S, not both")
-        inst = instance_from_wire(json.loads(Path(args.instance).read_text()))
+        inst = instance_from_wire(_read_json(args.instance))
         if inst.n > args.cap_users:
             raise CapExceeded("instance user count", inst.n, args.cap_users)
         return inst
@@ -114,7 +122,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    report = full_report(inst, q=args.field, node_cap=args.cap_nodes)
+    report = full_report(inst, node_cap=args.cap_nodes)
     obj = report.wire()
     if args.chain:
         chain = best_chain_bound(inst, report.witness_assignment)
@@ -125,7 +133,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    code = LinearCode.from_wire(json.loads(Path(args.code).read_text()), m=inst.m)
+    code = LinearCode.from_wire(_read_json(args.code), m=inst.m)
     report = is_valid(code, inst)
     _emit(args, report.wire())
     return 0 if report.valid else 1
@@ -215,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", parents=[output, source],
         help="bounds, closed form and witness scheme for a complete-S instance",
     )
-    p.add_argument("--field", type=_prime_arg, help="prime field size override")
     p.add_argument(
         "--cap-nodes", type=_positive_arg, default=DEFAULT_MAIS_NODE_CAP,
         help="node budget of the lower-bound search; past it the bound is mais-partial",

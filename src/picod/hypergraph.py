@@ -158,19 +158,22 @@ def verify_circular_arc(h: Hypergraph, order: Sequence[int]) -> bool:
 
 @dataclass
 class CircularArcTrace:
-    """How the scheme arrived at its rows, for inspection and tests."""
+    """How the scheme arrived at its rows: (label, start, length) per selected
+    arc, (positions, label) per leftover gap; 0-based until `wire()`."""
 
     factor: tuple[int, ...] | None = None
     dropped: list[int] = field(default_factory=list)
-    selected: list[dict] = field(default_factory=list)
-    gap_covers: list[dict] = field(default_factory=list)
+    selected: list[tuple[int, int, int]] = field(default_factory=list)
+    gap_covers: list[tuple[list[int], int]] = field(default_factory=list)
 
     def wire(self) -> dict:
         return {
             "factor": None if self.factor is None else [j + 1 for j in self.factor],
             "dropped": [j + 1 for j in self.dropped],
-            "selected": self.selected,
-            "gap_covers": self.gap_covers,
+            "selected": [{"label": j + 1, "start": i + 1, "length": k}
+                         for j, i, k in self.selected],
+            "gap_covers": [{"gap_positions": [g + 1 for g in gap], "label": j + 1}
+                           for gap, j in self.gap_covers],
         }
 
 
@@ -229,7 +232,6 @@ def circular_arc_scheme_with_trace(
     arcs, trace.dropped = _drop_dominated({j: e for j, e in enumerate(masks) if e})
     starting = {s: (j, length) for j, e in arcs.items() for s, length in _runs(e, n)}
 
-    selected: list[int] = []
     covered = 0
     i = 0
     while i < n:
@@ -237,27 +239,23 @@ def circular_arc_scheme_with_trace(
             i += 1
             continue
         pick, length = starting[i]
-        selected.append(pick)
         covered |= arcs[pick]
-        trace.selected.append({"label": pick + 1, "start": i + 1, "length": length})
+        trace.selected.append((pick, i, length))
         i += length
-    assert selected, "no edge starts anywhere, yet vertices are covered"
+    assert trace.selected, "no edge starts anywhere, yet vertices are covered"
 
-    covers: list[int] = []
     for s, length in _runs(((1 << n) - 1) & ~covered, n):
         gap = [(s + k) % n for k in range(length)]
         run = sum(1 << p for p in gap)
         candidates = [j for j, e in arcs.items() if not run & ~e]
         assert candidates, f"uncovered run {gap} has no covering edge"
-        covers.append(min(candidates))
-        trace.gap_covers.append(
-            {"gap_positions": [g + 1 for g in gap], "label": covers[-1] + 1}
-        )
-    second = set(covers) | {selected[0]}
-    assert len(second) == len(covers) + 1, "cover labels collide"
+        trace.gap_covers.append((gap, min(candidates)))
+    first = {j for j, _, _ in trace.selected}
+    second = {j for _, j in trace.gap_covers} | {trace.selected[0][0]}
+    assert len(second) == len(trace.gap_covers) + 1, "cover labels collide"
     rows = [
         tuple(1 if j in chosen else 0 for j in range(inst.m))
-        for chosen in (set(selected), second)
+        for chosen in (first, second)
     ]
 
     code = LinearCode(q, inst.m, tuple(rows))

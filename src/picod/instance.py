@@ -81,6 +81,16 @@ class Instance:
         not a field, so equality and hashing still see only m, t and users."""
         return tuple(sum(1 << x for x in a) for a in self.users)
 
+    @cached_property
+    def complete_s_sizes(self) -> tuple[int, ...]:
+        """S, sorted, when the instance is complete-S for S = its users' sizes,
+        in any user order; () when it is not or has no users.  Distinct subsets
+        of range(m) fill their layers exactly when sum C(m, s) = n.  Like
+        `masks`, built once and not a field."""
+        sizes = tuple(sorted({len(a) for a in self.users}))
+        layers = sum(math.comb(self.m, s) for s in sizes)
+        return sizes if len(set(self.users)) == self.n == layers else ()
+
 
 def _invalid(where: str, reason: str) -> NoReturn:
     raise ValueError(f"invalid instance ({where}): {reason}")
@@ -107,15 +117,6 @@ def build_complete_s(
         for combo in combinations(range(m), s)
     )
     return Instance(m, t, users)
-
-
-def complete_s_sizes(inst: Instance) -> tuple[int, ...]:
-    """S, sorted, when inst is complete-S for S = its users' sizes, in any user
-    order; () when it is not or has no users.  Distinct subsets of range(m)
-    fill their layers exactly when sum C(m, s) = n."""
-    sizes = tuple(sorted({len(a) for a in inst.users}))
-    layers = sum(math.comb(inst.m, s) for s in sizes)
-    return sizes if len(set(inst.users)) == inst.n == layers else ()
 
 
 def user_choices(inst: Instance, user: int) -> list[frozenset[int]]:
@@ -151,7 +152,9 @@ def instance_wire(inst: Instance) -> dict:
 def _json_field(obj: object, key: str, nested: bool = False):
     """obj[key] checked to be an integer, or with `nested` a list of integer
     lists; any other shape raises a ValueError that names the field."""
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise ValueError("the top-level value must be a JSON object")
+    if key not in obj:
         raise ValueError(f"missing field {key!r}")
     val = obj[key]
     if nested:

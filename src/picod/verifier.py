@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .coding import LinearCode
 from .errors import SearchOverflow
-from .instance import Assignment, Instance, complete_s_sizes
+from .instance import Assignment, Instance
 
 
 def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
@@ -96,7 +96,10 @@ class DecodabilityReport:
     per_user: tuple[UserDecoding, ...]
 
     def assignment(self, t: int) -> Assignment:
-        """The t lexicographically smallest decoded messages of every user."""
+        """The t lexicographically smallest decoded messages of every user;
+        only defined for valid codes, raises ValueError otherwise."""
+        if not self.valid:
+            raise ValueError("code does not satisfy every user")
         return tuple(frozenset(sorted(u.decoded)[:t]) for u in self.per_user)
 
     def wire(self) -> dict:
@@ -135,17 +138,6 @@ def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     return DecodabilityReport(valid, per_user)
 
 
-def induced_assignment(code: LinearCode, inst: Instance) -> Assignment:
-    """The t lexicographically smallest decoded messages of every user.
-
-    Only defined for valid codes; raises ValueError otherwise.
-    """
-    report = is_valid(code, inst)
-    if not report.valid:
-        raise ValueError("code does not satisfy every user")
-    return report.assignment(inst.t)
-
-
 # ---------- exhaustive search, column by column ----------
 
 
@@ -172,7 +164,7 @@ def min_linear_length_exhaustive(
     """
     m = inst.m
     ell_max = m if ell_max is None else ell_max
-    complete = bool(complete_s_sizes(inst))
+    complete = bool(inst.complete_s_sizes)
     full = (1 << m) - 1
     checks: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for u in {full & ~a for a in inst.masks}:

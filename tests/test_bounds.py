@@ -29,11 +29,10 @@ from picod.errors import SearchOverflow
 from picod.instance import (
     Instance,
     build_complete_s,
-    complete_s_sizes,
     user_choices,
     validate_assignment,
 )
-from picod.verifier import induced_assignment, is_valid, min_linear_length_exhaustive
+from picod.verifier import is_valid, min_linear_length_exhaustive
 from util import (
     assignment_count, brute_best_chain, brute_code_valid, brute_mais, brute_min_mais,
     enumerate_assignments, random_assignment, random_instance, seeded,
@@ -189,7 +188,7 @@ class TestMinMais:
         users = build_complete_s(4, 1, {0, 2}).users
         assert users[5] == {1, 3}
         inst = Instance(4, 1, users[:5] + users[6:])
-        assert complete_s_sizes(inst) == ()
+        assert inst.complete_s_sizes == ()
         scored = [(brute_mais(inst, d), d) for d in enumerate_assignments(inst)]
         low = min(v for v, _ in scored)
         assert min_mais_lower_bound(inst) == (low, next(d for v, d in scored if v == low))
@@ -300,7 +299,8 @@ class TestWideInputs:
     def test_chain_on_induced_witness(self):
         # 330 users: a search keyed on which users are placed takes minutes
         inst = build_complete_s(10, 2, {3, 4})
-        d = induced_assignment(build_partition_scheme(optimal_partition(10, 2, {3, 4})), inst)
+        code = build_partition_scheme(optimal_partition(10, 2, {3, 4}))
+        d = is_valid(code, inst).assignment(inst.t)
         start = time.perf_counter()
         res = best_chain_bound(inst, d)
         elapsed = time.perf_counter() - start
@@ -587,7 +587,7 @@ class TestBoundReport:
 class TestFullReport:
     def test_three_messages_singleton(self):
         inst = build_complete_s(3, 1, {1})
-        rep = full_report(inst, q=2)
+        rep = full_report(inst)
         assert (rep.lower_bound, rep.achieved, rep.tight) == (2, 2, True)
         assert rep.closed_form == (2, SINGLETON)
         assert is_valid(rep.witness_code, inst).valid
@@ -627,7 +627,7 @@ class TestFullReport:
 
     def test_invalid_scheme_is_refused(self, monkeypatch):
         broken = LinearCode(2, 3, ((1, 0, 0),))
-        monkeypatch.setattr(bounds, "build_partition_scheme", lambda partition, q: broken)
+        monkeypatch.setattr(bounds, "build_partition_scheme", lambda partition: broken)
         with pytest.raises(ValueError, match="does not satisfy every user"):
             full_report(build_complete_s(3, 1, {1}))
 

@@ -302,10 +302,12 @@ class TestReport:
         assert rc == 2
         assert err.startswith("error:")
 
-    def test_non_prime_field_rejected(self, capsys):
+    def test_field_is_not_an_option(self, capsys):
+        # the witness code's field is the partition scheme's own
         with pytest.raises(SystemExit) as exc:
-            main(["report", "-m", "3", "-t", "1", "-S", "1", "--field", "4"])
+            main(["report", "-m", "3", "-t", "1", "-S", "1", "--field", "3"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --field 3" in capsys.readouterr().err
 
     def test_spent_node_budget_reports_partial_bound(self, capsys):
         rc, out, _ = run_cli(
@@ -412,6 +414,28 @@ class TestMalformedJson:
         )
         self._assert_one_line_error(rc, out, err, "rows")
 
+    def test_unparsable_code_file_is_named(self, capsys, tmp_path):
+        inst, code = tmp_path / "inst.json", tmp_path / "code.json"
+        inst.write_text(json.dumps(instance_wire(build_complete_s(3, 1, {1}))))
+        code.write_text("not json")
+        rc, out, err = run_cli(capsys, "verify", "--instance", str(inst), "--code", str(code))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {code}: Expecting value: line 1 column 1 (char 0)\n"
+
+    def test_undecodable_instance_file_is_named(self, capsys, tmp_path):
+        target = tmp_path / "inst.json"
+        target.write_bytes(b'{"m": 3, "t": 1, "users": [[\xff]]}')
+        rc, out, err = run_cli(capsys, "hypergraph", "topology", "--instance", str(target))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {target}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_top_level_must_be_an_object(self, capsys, tmp_path):
+        target = tmp_path / "inst.json"
+        target.write_text("[1, 2]")
+        rc, out, err = run_cli(capsys, "gen", "--instance", str(target))
+        assert (rc, out, err) == (2, "", "error: the top-level value must be a JSON object\n")
+
 
 class TestInvalidInstance:
     """A well-shaped file that breaks PICOD(t) exits 2 with one exact line."""
@@ -505,6 +529,12 @@ class TestHypergraphCommands:
             capsys, "hypergraph", *command, "-m", "3", "-t", "1", "-S", "2", "--cap-nodes", "1",
         )
         assert (rc, out, err) == (2, "", "error: 1-factor search exceeded 1 nodes\n")
+
+    def test_non_prime_field_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hypergraph", "circular-arc", "-m", "3", "-t", "1", "-S", "1", "--field", "4"])
+        assert exc.value.code == 2
+        assert "field size 4 is not prime" in capsys.readouterr().err
 
     def test_circular_arc_larger_field(self, capsys):
         rc, out, _ = run_cli(
@@ -682,7 +712,7 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("bad", [
         ["report", "-m", "4"],
-        ["report", "-m", "4", "-t", "1", "-S", "0,2", "--field", "4"],
+        ["report", "-m", "4", "-t", "1", "-S", "0,2", "--cap-nodes", "0"],
     ], ids=["missing-parameters", "rejected-argument"])
     def test_failed_call_does_not_carry_over(self, capsys, bad):
         try:

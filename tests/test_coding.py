@@ -130,6 +130,10 @@ class TestLinearCode:
         with pytest.raises(ValueError):
             LinearCode(6, 2, ())
 
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="negative width"):
+            LinearCode(2, -1, ())
+
 
 class TestMatrixBuilders:
     def test_unit_rows(self):
@@ -162,6 +166,11 @@ class TestMatrixBuilders:
         rows = mds_rows(k, m, q)
         for cols in itertools.combinations(range(m), k):
             assert brute_det([[row[c] for c in cols] for row in rows], q), cols
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_mds_row_count_out_of_range(self, k):
+        with pytest.raises(ValueError, match=f"need 1 <= k <= m, got k={k}, m=3"):
+            mds_rows(k, 3, 5)
 
     def test_mds_needs_large_field(self):
         with pytest.raises(FieldTooSmall):

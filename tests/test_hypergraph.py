@@ -293,8 +293,9 @@ class TestSchemeExamples:
         code, trace = circular_arc_scheme_with_trace(inst, tuple(range(6)))
         assert trace.factor is None
         assert trace.dropped == []
-        assert [e["label"] for e in trace.selected] == [2, 3]
-        assert trace.gap_covers == [{"gap_positions": [1], "label": 1}]
+        assert [j for j, _, _ in trace.selected] == [1, 2]
+        assert trace.gap_covers == [([0], 0)]
+        assert trace.wire()["gap_covers"] == [{"gap_positions": [1], "label": 1}]
         assert code.rows == ((0, 1, 1), (1, 1, 0))
         assert is_valid(code, inst).valid
 
@@ -312,10 +313,7 @@ class TestSchemeExamples:
         code, trace = circular_arc_scheme_with_trace(inst, tuple(range(8)))
         assert trace.factor is None
         assert code.rows == ((1, 0, 1, 0, 1), (1, 1, 0, 1, 0))
-        assert trace.gap_covers == [
-            {"gap_positions": [4], "label": 2},
-            {"gap_positions": [7], "label": 4},
-        ]
+        assert trace.gap_covers == [([3], 1), ([6], 3)]
         assert is_valid(code, inst).valid
 
     def test_message_everyone_holds_is_never_sent(self):
@@ -393,7 +391,7 @@ class TestSchemeRandom:
                 if e >> p & 1 and not e >> (p - 1) % inst.n & 1
             ]
             assert len(starts) == len(set(starts)) == len(survivors)
-            assert all(e.keys() == {"label", "start", "length"} for e in trace.selected)
+            assert all(e.keys() == {"label", "start", "length"} for e in trace.wire()["selected"])
 
     def test_selected_arcs_overlap_only_at_the_seam(self):
         rng = seeded(406)
@@ -404,8 +402,8 @@ class TestSchemeRandom:
             if trace.factor is not None:
                 continue
             spans = [
-                frozenset((e["start"] - 1 + k) % n for k in range(e["length"]))
-                for e in trace.selected
+                frozenset((start + k) % n for k in range(length))
+                for _, start, length in trace.selected
             ]
             for a, b in itertools.combinations(range(len(spans)), 2):
                 if (a, b) == (0, len(spans) - 1):
@@ -420,9 +418,8 @@ class TestSchemeRandom:
             _, trace = circular_arc_scheme_with_trace(
                 inst, tuple(range(inst.n))
             )
-            for entry in trace.gap_covers:
-                gap = {p - 1 for p in entry["gap_positions"]}
-                assert gap <= members(topo.edges[entry["label"] - 1])
+            for gap, label in trace.gap_covers:
+                assert set(gap) <= members(topo.edges[label])
 
     def test_trace_serializes(self):
         inst = build_complete_s(3, 1, {1})

@@ -11,7 +11,6 @@ from picod.instance import (
     Instance,
     assignment_to_lists,
     build_complete_s,
-    complete_s_sizes,
     instance_from_wire,
     instance_wire,
     user_choices,
@@ -71,21 +70,27 @@ class TestIsCompleteS:
     @pytest.mark.parametrize("m,t,sizes", [(1, 1, {0}), (3, 1, {1}), (4, 1, {0, 2}), (5, 2, {0, 1, 3})])
     def test_built_instances_in_any_order(self, m, t, sizes):
         inst = build_complete_s(m, t, sizes)
-        assert complete_s_sizes(inst) == tuple(sorted(sizes))
-        assert complete_s_sizes(Instance(m, t, inst.users[::-1])) == tuple(sorted(sizes))
+        assert inst.complete_s_sizes == tuple(sorted(sizes))
+        assert Instance(m, t, inst.users[::-1]).complete_s_sizes == tuple(sorted(sizes))
 
     def test_layer_counts_alone_do_not_suffice(self):
         # 1 + 2 users for S = {0, 1} at m = 2, but the empty set twice
-        assert complete_s_sizes(Instance(2, 1, (frozenset(), frozenset({0}), frozenset()))) == ()
+        assert Instance(2, 1, (frozenset(), frozenset({0}), frozenset())).complete_s_sizes == ()
 
     def test_missing_or_stray_users(self):
         users = build_complete_s(3, 1, {1}).users
-        assert complete_s_sizes(Instance(3, 1, users[:-1])) == ()
+        assert Instance(3, 1, users[:-1]).complete_s_sizes == ()
         # a stray message outside range(m) cannot even be built
         with pytest.raises(ValueError, match=r"\(user 3\): side information outside"):
             Instance(3, 1, users[:-1] + (frozenset({3}),))
-        assert complete_s_sizes(Instance(3, 1, users + (frozenset({0, 1}),))) == ()
-        assert complete_s_sizes(Instance(3, 1, ())) == ()
+        assert Instance(3, 1, users + (frozenset({0, 1}),)).complete_s_sizes == ()
+        assert Instance(3, 1, ()).complete_s_sizes == ()
+
+    def test_cached_outside_equality(self):
+        inst = build_complete_s(4, 1, {0, 2})
+        assert inst.complete_s_sizes is inst.complete_s_sizes
+        fresh = Instance(inst.m, inst.t, inst.users)
+        assert fresh == inst and hash(fresh) == hash(inst)
 
 
 class TestValidation:
@@ -142,6 +147,11 @@ class TestAssignments:
             validate_assignment(
                 inst, (frozenset({1, 2}), frozenset({0}), frozenset({0}))
             )
+
+    def test_validate_assignment_message_out_of_range(self):
+        inst = build_complete_s(3, 1, {1})
+        with pytest.raises(ValueError, match="user 0: desired message outside range"):
+            validate_assignment(inst, (frozenset({-1}), frozenset({0}), frozenset({0})))
 
 
 class TestJson:

@@ -15,7 +15,6 @@ from picod.hypergraph import has_one_factor, network_topology
 from picod.instance import Instance, build_complete_s
 from picod.verifier import (
     decodable_closure,
-    induced_assignment,
     is_valid,
     min_linear_length_exhaustive,
 )
@@ -264,21 +263,21 @@ class TestInducedAssignment:
     def test_picks_lexicographically_smallest(self):
         inst = build_complete_s(3, 1, {1})
         code = LinearCode(2, 3, ((1, 1, 0), (0, 1, 1)))
-        got = induced_assignment(code, inst)
+        got = is_valid(code, inst).assignment(inst.t)
         # every user decodes both missing messages, so the smaller one wins
         assert got == (frozenset({1}), frozenset({0}), frozenset({0}))
 
     def test_requires_validity(self):
         inst = build_complete_s(2, 1, {1})
         with pytest.raises(ValueError):
-            induced_assignment(LinearCode(2, 2, ((1, 0),)), inst)
+            is_valid(LinearCode(2, 2, ((1, 0),)), inst).assignment(inst.t)
 
     def test_fits_instance(self):
         inst = build_complete_s(4, 2, {0, 1})
         found = min_linear_length_exhaustive(inst, q=2)
         assert found is not None
         _, code = found
-        for a, d in zip(inst.users, induced_assignment(code, inst)):
+        for a, d in zip(inst.users, is_valid(code, inst).assignment(inst.t)):
             assert len(d) == 2 and not (d & a)
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .bounds import DEFAULT_MAIS_NODE_CAP, best_chain_bound, full_report
 from .coding import LinearCode, is_prime
@@ -41,6 +41,8 @@ from .oracles import (
     sweep_intersection_families,
 )
 from .verifier import is_valid
+
+T = TypeVar("T")
 
 
 def _prime_arg(text: str) -> int:
@@ -93,10 +95,10 @@ def _emit(args: argparse.Namespace, obj: object) -> None:
         print(text)
 
 
-def _read_json(path: str) -> object:
-    """The JSON value in a UTF-8 file; a decode or parse error names the file."""
+def _read_json(path: str, build: Callable[[object], T]) -> T:
+    """`build` of the JSON value in a UTF-8 file; any ValueError names the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -106,7 +108,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     if args.instance:
         if any(p is not None for p in params):
             raise ValueError("give --instance or -m, -t and -S, not both")
-        inst = instance_from_wire(_read_json(args.instance))
+        inst = _read_json(args.instance, instance_from_wire)
         if inst.n > args.cap_users:
             raise CapExceeded("instance user count", inst.n, args.cap_users)
         return inst
@@ -133,7 +135,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    code = LinearCode.from_wire(_read_json(args.code), m=inst.m)
+    code = _read_json(args.code, functools.partial(LinearCode.from_wire, m=inst.m))
     report = is_valid(code, inst)
     _emit(args, report.wire())
     return 0 if report.valid else 1

@@ -1,19 +1,21 @@
 """Decide whether a broadcast code satisfies every user of an instance.
 
 A user that knows the messages in K can decode message d from code X when
-the unit vector e_d lies in span(rows of X, {e_a : a in K}).  One elimination
-finds every such d at once: a decoded e_d already lies in that span, so
-adding it as side information leaves the span, and what it decodes, unchanged.
-A column outside the code's support is all zero: it is never a pivot, so
-never decoded, and dropping it from K leaves the projected row space as it
-is.  Users with the same `known & support` thus share one elimination, the
-same for every field: XOR on int row masks over GF(2), arithmetic mod q on
-coefficient lists otherwise.  `known` is that memo key, an int mask.
+the unit vector e_d lies in span(rows of X, {e_a : a in K}), that is, in the
+row space of X restricted to the columns U it lacks.  That row space is
+orthogonal to every dependency among those columns, so d is decoded exactly
+when column d is outside the span of the others in U: a coloop of their
+column matroid.  A decoded e_d already lies in the span, so knowing d
+decodes nothing new.  `_insert` places one column at a time, the same for
+every field: XOR on int columns over GF(2), arithmetic mod q on lists
+otherwise.  A column outside the code's support is zero, in no circuit with
+others, so users with the same `known & support` share one walk over the
+rest; `is_valid` places each distinct prefix of those walks once.
 
 The exhaustive code search uses the same fact: how many messages a user
 decodes depends only on the multiset of the code's columns at the messages
 it lacks.  It places a code's columns depth first and checks each user once
-its last unknown column is placed, one elimination per distinct multiset.
+its last unknown column is placed, one walk per distinct multiset.
 A complete-S instance is mapped to itself by every message permutation, so
 only [I_ell | P] with P's columns nondecreasing is tried: a rank-ell code
 with an information set moved to the front, reduced and sorted.  Other
@@ -29,59 +31,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coding import LinearCode
 from .errors import SearchOverflow
 from .instance import Assignment, Instance
 
 
+def _insert(state: tuple[tuple, int], c: int, g: int | list[int], q: int) -> tuple[tuple, int]:
+    """Place column c, entries g, into (basis, coloops) of the columns placed
+    so far.  A basis vector is reduced at the pivots before it and carries
+    the combination of basis columns it equals: an int mask over GF(2), else
+    its list's tail, one entry per basis vector.  An independent g is a
+    coloop; a dependent g is not, nor is any column its combination uses."""
+    basis, coloops = state
+    if q == 2:
+        comb = 1 << c
+        for p, v, k in basis:
+            if g & p:
+                g ^= v
+                comb ^= k
+        if g:
+            return basis + ((g & -g, g, comb),), coloops | 1 << c
+        return basis, coloops & ~comb
+    ell = len(g)
+    r = g + [0] * ell
+    for p, v, _ in basis:
+        if f := r[p]:
+            r = [(x - f * y) % q for x, y in zip(r, v)]
+    for p in range(ell):
+        if r[p]:
+            break
+    else:
+        return basis, coloops & ~sum(1 << k for x, (_, _, k) in zip(r[ell:], basis) if x)
+    r[ell + len(basis)] = 1
+    inv = pow(r[p], -1, q)
+    return basis + ((p, [x * inv % q for x in r], c),), coloops | 1 << c
+
+
+def _columns(code: LinearCode) -> list:
+    """Each column as `_insert` takes it: an ell-bit int over GF(2), else a list."""
+    if code.q == 2:
+        return [sum(1 << i for i, row in enumerate(code.rows) if row[c]) for c in range(code.m)]
+    return [[row[c] for row in code.rows] for c in range(code.m)]
+
+
 def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
     """All messages outside the mask `known` (bit x = message x) that the
-    user can decode.
-
-    The rows, projected onto the unknown columns, are reduced into `basis`:
-    it maps each pivot column to a row that is 1 there and 0 at every other
-    pivot, the unique reduced echelon form of the projected row space.  A
-    vector of that space is the sum of the basis rows weighted by its pivot
-    entries, so e_d lies in it exactly when the row of pivot d has no other
-    nonzero entry.  The result is closed: a decoded e_d is already in
-    span(X, e_K), so knowing d as well decodes nothing new.
-    """
+    user can decode: the coloops once every unknown column is placed."""
     if known < 0 or known >> code.m:
         raise ValueError("known message outside column range")
-    if code.q == 2:
-        # a row is its support mask, and its pivot is its lowest unknown bit
-        basis: dict[int, int] = {}
-        for r in code.masks:
-            r &= ~known
-            for bit, b in basis.items():
-                if r & bit:
-                    r ^= b
-            if r:
-                bit = r & -r
-                for c, b in basis.items():
-                    if b & bit:
-                        basis[c] = b ^ r
-                basis[bit] = r
-        return frozenset(bit.bit_length() - 1 for bit, r in basis.items() if r == bit)
-    q = code.q
-    unknown = [c for c in range(code.m) if not known >> c & 1]
-    basis: dict[int, list[int]] = {}
-    for row in code.rows:
-        r = [row[c] for c in unknown]
-        for p, b in basis.items():
-            if f := r[p]:
-                r = [(x - f * y) % q for x, y in zip(r, b)]
-        p = next((i for i, x in enumerate(r) if x), -1)
-        if p >= 0:
-            inv = pow(r[p], -1, q)
-            r = [x * inv % q for x in r]
-            for c, b in basis.items():
-                if f := b[p]:
-                    basis[c] = [(x - f * y) % q for x, y in zip(b, r)]
-            basis[p] = r
-    return frozenset(unknown[p] for p, r in basis.items() if r.count(0) == len(r) - 1)
+    return next(_closures(code, (known,)))
 
 
 @dataclass(frozen=True)
@@ -115,25 +115,36 @@ class DecodabilityReport:
         }
 
 
-def _closures(code: LinearCode, inst: Instance) -> Iterator[frozenset[int]]:
-    """Each user's decoded set, one elimination per `known & support`."""
+def _closures(code: LinearCode, masks: Iterable[int]) -> Iterator[frozenset[int]]:
+    """Each `known` mask's decoded set.  `states` maps a mask of unknown
+    columns in the support to the state once they are placed in increasing
+    order: it is the memo on `known & support`, and lowest columns shared
+    between users are placed once."""
     support = reduce(int.__or__, code.masks, 0)
-    memo: dict[int, frozenset[int]] = {}
-    for mask in inst.masks:
-        if (key := mask & support) not in memo:
-            memo[key] = decodable_closure(code, key)
-        yield memo[key]
+    cols, states = _columns(code), {0: ((), 0)}
+    memo: dict[int, frozenset[int]] = {}  # coloops -> decoded set
+    for known in masks:
+        unknown, top = support & ~known, []
+        while unknown not in states:
+            top.append(c := unknown.bit_length() - 1)
+            unknown ^= 1 << c
+        for c in reversed(top):
+            states[unknown | 1 << c] = _insert(states[unknown], c, cols[c], code.q)
+            unknown |= 1 << c
+        if (coloops := states[unknown][1]) not in memo:
+            memo[coloops] = frozenset(c for c in range(code.m) if coloops >> c & 1)
+        yield memo[coloops]
 
 
 def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     """Closure of every user, and whether each decodes at least t messages.
 
-    Zero columns are never decoded and leave the span as it is, so users
-    with the same `known & support(code)` share one elimination.
+    Users with the same `known & support(code)` share one walk, and walks
+    share their common prefixes.
     """
     if code.m != inst.m:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
-    per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst)))
+    per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst.masks)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
     return DecodabilityReport(valid, per_user)
 
@@ -180,8 +191,10 @@ def min_linear_length_exhaustive(
         def serves(unknown: tuple[int, ...]) -> bool:
             key = tuple(sorted(map(cols.__getitem__, unknown)))
             if key not in served:
-                small = LinearCode(q, len(key), _rows(key, ell, q))
-                served[key] = len(decodable_closure(small, 0)) >= inst.t
+                state: tuple[tuple, int] = ((), 0)
+                for c, v in enumerate(key):
+                    state = _insert(state, c, v if q == 2 else [v // q**r % q for r in range(ell)], q)
+                served[key] = state[1].bit_count() >= inst.t
             return served[key]
 
         def place(j: int, rank: int) -> bool:

@@ -434,7 +434,22 @@ class TestMalformedJson:
         target = tmp_path / "inst.json"
         target.write_text("[1, 2]")
         rc, out, err = run_cli(capsys, "gen", "--instance", str(target))
-        assert (rc, out, err) == (2, "", "error: the top-level value must be a JSON object\n")
+        assert (rc, out, err) == (2, "", f"error: {target}: the top-level value must be a JSON object\n")
+
+    def test_code_content_error_names_the_code_file(self, capsys, tmp_path):
+        inst, code = tmp_path / "inst.json", tmp_path / "code.json"
+        inst.write_text(json.dumps(instance_wire(build_complete_s(3, 1, {1}))))
+        code.write_text('{"q": 4, "rows": [[1, 0, 1]]}')
+        rc, out, err = run_cli(capsys, "verify", "--instance", str(inst), "--code", str(code))
+        assert (rc, out, err) == (2, "", f"error: {code}: q=4 is not prime\n")
+
+    def test_width_mismatch_is_not_a_file_error(self, capsys, tmp_path):
+        code = tmp_path / "code.json"
+        code.write_text('{"q": 2, "rows": [[1, 1]]}')
+        rc, out, err = run_cli(
+            capsys, "verify", "-m", "3", "-t", "1", "-S", "1", "--code", str(code)
+        )
+        assert (rc, out, err) == (2, "", "error: code width 2 != instance m 3\n")
 
 
 class TestInvalidInstance:
@@ -456,7 +471,7 @@ class TestInvalidInstance:
         target = tmp_path / "inst.json"
         target.write_text(text)
         rc, out, err = run_cli(capsys, "hypergraph", "topology", "--instance", str(target))
-        assert (rc, out, err) == (2, "", f"error: invalid instance {reason}\n")
+        assert (rc, out, err) == (2, "", f"error: {target}: invalid instance {reason}\n")
 
 
 class TestHypergraphCommands:

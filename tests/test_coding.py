@@ -38,8 +38,8 @@ class TestPrimes:
 
 
 class TestLinearAlgebra:
-    """The package's one elimination over GF(q) is the reduced basis that
-    `decodable_closure` builds; these cases pin it by what it decodes."""
+    """The package's one GF(q) kernel is the column insertion behind
+    `decodable_closure`; these cases pin it by what it decodes."""
 
     def test_rref_hand_case_gf2(self):
         # reduced echelon form (1, 0, 1), (0, 1, 1): no unit row until e_2 is known

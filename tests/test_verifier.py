@@ -20,11 +20,13 @@ from picod.verifier import (
 )
 from util import (
     brute_closure,
+    codeword_supports,
     brute_code_valid,
     brute_row_space_count,
     iter_row_spaces,
     random_instance,
     seeded,
+    support_decoded,
 )
 
 
@@ -120,8 +122,8 @@ class TestClosure:
             assert got_small <= got_big
 
     def test_fixpoint_is_exhausted(self):
-        # the property that makes one elimination exact: the closure of a
-        # closed set is empty, so no second pass can decode anything
+        # the property that makes one pass exact: the closure of a closed
+        # set is empty, so no second pass can decode anything
         rng = seeded(23)
         for _ in range(40):
             q = rng.choice([2, 3, 5])
@@ -139,9 +141,9 @@ def _scalar_multiples(a, b, q):
 
 class TestReducedBasis:
     def test_matches_enumeration_over_every_field(self):
-        # one pivot-keyed reduction serves every field; zero rows, scalar
+        # one column-insertion kernel serves every field; zero rows, scalar
         # multiples, zero columns and leading entries other than 1 are the
-        # cases where a row kernel can slip
+        # cases where an elimination can slip
         rng = seeded(26)
         for q, m_max, ell_max, trials in [(2, 9, 6, 200), (3, 5, 4, 150), (5, 4, 3, 80)]:
             seen = {"zero row": 0, "scalar multiple": 0, "zero column": 0, "leading entry not 1": 0}
@@ -233,24 +235,60 @@ class TestIsValid:
         assert shared >= 20
 
     def test_one_elimination_per_support_pattern(self, monkeypatch):
-        # the partition code sends 7 unit rows, so 6006 users fall into
-        # 2^7 - 1 patterns: no user of size <= 6 holds all 7 sent messages
-        inst = build_complete_s(14, 1, {4, 5, 6})
-        code = build_partition_scheme(optimal_partition(14, 1, {4, 5, 6}))
+        # each distinct prefix of the users' sorted unknown support columns
+        # is placed once.  The GF(2) partition code sends 7 unit rows, so
+        # 6006 users fall into 2^7 - 1 patterns (no user of size <= 6 holds
+        # all 7 sent messages), and every prefix of a pattern is a pattern.
+        # The GF(17) code's support is every column: its 3458 users lack
+        # 15288 columns in all, and share them in 3471 prefixes.
         calls = []
-        real = picod.verifier.decodable_closure
+        real = picod.verifier._insert
 
-        def counted(code, known):
-            calls.append(known)
-            return real(code, known)
+        def counted(state, c, g, q):
+            calls.append(c)
+            return real(state, c, g, q)
 
-        monkeypatch.setattr(picod.verifier, "decodable_closure", counted)
-        start = time.perf_counter()
-        report = is_valid(code, inst)
-        elapsed = time.perf_counter() - start
-        assert inst.n == 6006 and report.valid
-        assert len(calls) == 127
-        assert elapsed < 1.0
+        monkeypatch.setattr(picod.verifier, "_insert", counted)
+        for m, t, S, q, n, unknown, placed in [
+            (14, 1, {4, 5, 6}, 2, 6006, 52052, 127),
+            (14, 2, {9, 10, 11, 12}, 17, 3458, 15288, 3471),
+        ]:
+            inst = build_complete_s(m, t, S)
+            code = build_partition_scheme(optimal_partition(m, t, S))
+            calls.clear()
+            start = time.perf_counter()
+            report = is_valid(code, inst)
+            elapsed = time.perf_counter() - start
+            assert (code.q, inst.n, report.valid) == (q, n, True)
+            assert sum(m - len(a) for a in inst.users) == unknown
+            assert len(calls) == placed
+            assert elapsed < 1.0
+
+    def test_matches_codeword_supports(self):
+        # GF(7) partition codes with an MDS block (GF(5) has too few nodes
+        # for m >= 6, so its codes are m = 5), a code with a repeated, a
+        # parallel and a zero column, and every one-row-dropped variant
+        cases = [
+            (build_complete_s(m, t, S), build_partition_scheme(optimal_partition(m, t, S), q))
+            for m, t, S, q in [
+                (6, 1, {3, 4}, 7), (6, 1, {0, 4}, 7), (7, 1, {1, 5}, 7),
+                (7, 2, {3, 4}, 7), (5, 1, {2, 3}, 5), (5, 1, {0, 3}, 5),
+            ]
+        ]
+        odd = ((1, 2, 0, 1, 3, 4), (0, 1, 0, 0, 2, 2), (1, 0, 0, 1, 1, 0), (2, 3, 0, 2, 4, 1))
+        cases.append((build_complete_s(6, 1, {1, 3}), LinearCode(5, 6, odd)))
+        checked = 0
+        for inst, code in cases:
+            assert code.ell >= 3
+            for drop in [None, *range(code.ell)]:
+                rows = tuple(r for i, r in enumerate(code.rows) if i != drop)
+                report = is_valid(LinearCode(code.q, code.m, rows), inst)
+                supports = codeword_supports(code.q, rows)
+                for user in report.per_user:
+                    assert user.decoded == support_decoded(supports, inst.m, user.known)
+                assert report.valid == all(len(u.decoded) >= inst.t for u in report.per_user)
+                checked += drop is not None and not report.valid
+        assert checked >= 10
 
     def test_report_json_is_one_based(self):
         inst = build_complete_s(2, 1, {0})

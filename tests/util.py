@@ -109,6 +109,22 @@ def brute_closure(q, rows, m, known):
             return frozenset(have)
 
 
+def codeword_supports(q, rows):
+    """The support of every codeword, one combination of the rows each."""
+    m = len(rows[0]) if rows else 0
+    return {
+        frozenset(j for j in range(m) if sum(c * r[j] for c, r in zip(coeffs, rows)) % q)
+        for coeffs in itertools.product(range(q), repeat=len(rows))
+    }
+
+
+def support_decoded(supports, m, known):
+    """Messages a user holding `known` decodes: d, when some codeword's
+    support meets the messages it lacks in exactly {d}."""
+    lacking = frozenset(range(m)) - known
+    return frozenset(d for s in supports if len(s & lacking) == 1 for d in s & lacking)
+
+
 def brute_code_valid(q, rows, inst):
     """A user is served when it can recover >= t messages outside its set."""
     for a in inst.users:

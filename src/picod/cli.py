@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .bounds import DEFAULT_MAIS_NODE_CAP, best_chain_bound, full_report
-from .coding import LinearCode, is_prime
+from .coding import LinearCode
 from .errors import CapExceeded, PicodError
 from .hypergraph import (
     DEFAULT_NODE_CAP,
@@ -43,13 +43,6 @@ from .oracles import (
 from .verifier import is_valid
 
 T = TypeVar("T")
-
-
-def _prime_arg(text: str) -> int:
-    q = int(text)
-    if not is_prime(q):
-        raise argparse.ArgumentTypeError(f"field size {q} is not prime")
-    return q
 
 
 def _positive_arg(text: str) -> int:
@@ -162,9 +155,7 @@ def cmd_one_factor(args: argparse.Namespace) -> int:
 def cmd_circular_arc(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     order = args.order if args.order is not None else tuple(range(inst.n))
-    code, trace = circular_arc_scheme_with_trace(
-        inst, order, q=args.field or 2, node_cap=args.cap_nodes
-    )
+    code, trace = circular_arc_scheme_with_trace(inst, order, node_cap=args.cap_nodes)
     obj = {"rows": code.ell, "code": code.wire()}
     if args.trace:
         obj["trace"] = trace.wire()
@@ -265,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--order", type=_order_arg,
         help="cyclic user order as a comma list, default 1,2,...,n",
     )
-    p.add_argument("--field", type=_prime_arg, help="prime field size, default 2")
     p.add_argument(
         "--cap-nodes", type=_positive_arg, default=DEFAULT_NODE_CAP,
         help="node budget of the one-factor precheck; exceeding it is an error (exit 2)",
@@ -309,11 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; the parser is built on the first call, once per process."""
+    """Run one command; the parser is built on the first call, once per process.
+    A search too deep for the interpreter's stack exits 2 like bad input."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PicodError, ValueError, OSError) as exc:
+    except (PicodError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

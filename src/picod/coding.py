@@ -10,10 +10,9 @@ largest number of messages any of those users can miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FieldTooSmall
 from .instance import _as_sizes, _json_field
 
 # ---------- prime fields ----------
@@ -52,30 +51,21 @@ def _check_field(q: int) -> None:
 @dataclass(frozen=True)
 class LinearCode:
     """An l x m broadcast matrix over GF(q).  m is kept explicit so the
-    zero-row code still knows its width.  `masks`, the row supports as
-    bitmasks (the GF(2) rows), derives from `rows`: never passed or compared."""
+    zero-row code still knows its width."""
 
     q: int
     m: int
     rows: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_field(self.q)
         if self.m < 0:
             raise ValueError("negative width")
-        q, masks = self.q, []
         for r in self.rows:
             if len(r) != self.m:
                 raise ValueError(f"row of length {len(r)}, expected {self.m}")
-            mask = 0
-            for c, x in enumerate(r):
-                if x:
-                    if not 0 < x < q:
-                        raise ValueError("entry outside field range")
-                    mask |= 1 << c
-            masks.append(mask)
-        object.__setattr__(self, "masks", tuple(masks))
+            if not all(0 <= x < self.q for x in r):
+                raise ValueError("entry outside field range")
 
     @property
     def ell(self) -> int:
@@ -116,7 +106,7 @@ def mds_rows(k: int, m: int, q: int) -> tuple[tuple[int, ...], ...]:
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     if q < m:
-        raise FieldTooSmall(f"q={q} < m={m}: not enough distinct nodes")
+        raise ValueError(f"q={q} < m={m}: not enough distinct nodes")
     nodes = [(j + 1) % q for j in range(m)]
     return tuple(tuple(pow(x, i, q) for x in nodes) for i in range(k))
 
@@ -158,18 +148,17 @@ def optimal_partition(m: int, t: int, sizes: Iterable[int]) -> PartitionPlan:
     return min(plans, key=lambda p: (p.total_cost, (p.uncoded > 0) + (p.mds > 0), p.mds))
 
 
-def build_partition_scheme(plan: PartitionPlan, q: int | None = None) -> LinearCode:
+def build_partition_scheme(plan: PartitionPlan) -> LinearCode:
     """Assemble the broadcast matrix of a partition plan: the uncoded unit
     rows, then the MDS block.
 
     Every user of the uncoded prefix decodes at least t plain messages, and
     an MDS block of m - min rows recovers all unknowns of anyone holding at
-    least min messages.  Without q the field is GF(2), or the smallest prime
-    >= m when there is an MDS block.
+    least min messages.  The field is GF(2), or the smallest prime >= m when
+    there is an MDS block.
     """
     m = plan.m
-    if q is None:
-        q = smallest_prime_at_least(m) if plan.mds else 2
+    q = smallest_prime_at_least(m) if plan.mds else 2
     rows = [tuple(r) for r in unit_rows(plan.uncoded, m)]
     if plan.mds:
         rows.extend(mds_rows(plan.mds, m, q))

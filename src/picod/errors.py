@@ -20,10 +20,6 @@ class CapExceeded(PicodError):
         self.cap = cap
 
 
-class FieldTooSmall(PicodError):
-    """The requested field cannot host the requested MDS matrix."""
-
-
 class SearchOverflow(PicodError):
     """An exact search ran out of node budget before reaching an answer.
 
@@ -35,7 +31,3 @@ class SearchOverflow(PicodError):
     def __init__(self, message: str, proven: int | None = None):
         super().__init__(message)
         self.proven = proven
-
-
-class NotAFactor(PicodError):
-    """An edge selection does not cover every vertex exactly once."""

@@ -14,10 +14,10 @@ int bitmasks (bit i for vertex or position i); factors are edge-label tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coding import LinearCode
-from .errors import NotAFactor, SearchOverflow
+from .errors import SearchOverflow
 from .instance import Instance
 from .verifier import is_valid
 
@@ -55,13 +55,11 @@ def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int
     is different from a proven None.
     """
     labeled = [(j, e) for j, e in enumerate(h.edges) if e]
-    chosen: list[int] = []
     budget = node_cap
 
-    def search(uncovered: int) -> tuple[int, ...] | None:
+    def branches(uncovered: int) -> Iterator[tuple[int, int]]:
+        """One node: the usable edges through the vertex with the fewest."""
         nonlocal budget
-        if not uncovered:
-            return tuple(sorted(chosen))
         if budget <= 0:
             raise SearchOverflow(f"1-factor search exceeded {node_cap} nodes")
         budget -= 1
@@ -77,41 +75,53 @@ def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int
                 if not mine:
                     break
         assert options is not None
-        for j, e in options:
+        return iter(options)
+
+    full = (1 << h.n_vertices) - 1
+    if not full:
+        return ()
+    # one frame per chosen edge, on a list rather than the call stack
+    chosen: list[int] = []
+    stack = [(full, branches(full))]
+    while stack:
+        uncovered, edges = stack[-1]
+        for j, e in edges:
             chosen.append(j)
-            found = search(uncovered & ~e)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
+            if e == uncovered:
+                return tuple(sorted(chosen))
+            stack.append((uncovered & ~e, branches(uncovered & ~e)))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+    return None
 
-    return search((1 << h.n_vertices) - 1)
 
-
-def one_transmission_code(h: Hypergraph, factor: Sequence[int], q: int = 2) -> LinearCode:
-    """The single row summing the messages of a 1-factor.
+def one_transmission_code(h: Hypergraph, factor: Sequence[int]) -> LinearCode:
+    """The single GF(2) row summing the messages of a 1-factor.
 
     Every user misses exactly one summand, so one transmission satisfies
     everyone with t = 1.  Rejects selections that are not 1-factors and
     topologies without users.
     """
     if h.n_vertices == 0:
-        raise NotAFactor("topology has no users")
+        raise ValueError("topology has no users")
     labels = list(factor)
     chosen = set(labels)
     if len(chosen) != len(labels):
-        raise NotAFactor("factor repeats an edge")
+        raise ValueError("factor repeats an edge")
     if any(j < 0 or j >= len(h.edges) for j in labels):
-        raise NotAFactor("factor uses an unknown edge label")
+        raise ValueError("factor uses an unknown edge label")
     covered = 0
     for j in labels:
         if covered & h.edges[j]:
-            raise NotAFactor(f"edge {j} overlaps the rest of the factor")
+            raise ValueError(f"edge {j} overlaps the rest of the factor")
         covered |= h.edges[j]
     if covered != (1 << h.n_vertices) - 1:
-        raise NotAFactor("factor leaves a user uncovered")
+        raise ValueError("factor leaves a user uncovered")
     row = tuple(1 if j in chosen else 0 for j in range(len(h.edges)))
-    return LinearCode(q, len(h.edges), (row,))
+    return LinearCode(2, len(h.edges), (row,))
 
 
 # ---------- circular-arc structure ----------
@@ -197,10 +207,9 @@ def _drop_dominated(arcs: dict[int, int]) -> tuple[dict[int, int], list[int]]:
 def circular_arc_scheme_with_trace(
     inst: Instance,
     order: Sequence[int],
-    q: int = 2,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> tuple[LinearCode, CircularArcTrace]:
-    """At most two transmissions for a circular-arc topology with t = 1.
+    """At most two GF(2) transmissions for a circular-arc topology with t = 1.
 
     A 1-factor, when one exists, gives a single row; a 1-factor search past
     node_cap raises SearchOverflow.  Otherwise: drop dominated edges,
@@ -227,7 +236,7 @@ def circular_arc_scheme_with_trace(
     factor = has_one_factor(topo, node_cap=node_cap)
     if factor is not None:
         trace.factor = factor
-        return one_transmission_code(topo, factor, q), trace
+        return one_transmission_code(topo, factor), trace
 
     arcs, trace.dropped = _drop_dominated({j: e for j, e in enumerate(masks) if e})
     starting = {s: (j, length) for j, e in arcs.items() for s, length in _runs(e, n)}
@@ -258,7 +267,7 @@ def circular_arc_scheme_with_trace(
         for chosen in (first, second)
     ]
 
-    code = LinearCode(q, inst.m, tuple(rows))
+    code = LinearCode(2, inst.m, tuple(rows))
     check = is_valid(code, inst)
     assert check.valid, "constructed rows fail verification"
     return code, trace

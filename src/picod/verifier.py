@@ -30,7 +30,6 @@ takes any `known`, range-checks its argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .coding import LinearCode
@@ -120,7 +119,7 @@ def _closures(code: LinearCode, masks: Iterable[int]) -> Iterator[frozenset[int]
     columns in the support to the state once they are placed in increasing
     order: it is the memo on `known & support`, and lowest columns shared
     between users are placed once."""
-    support = reduce(int.__or__, code.masks, 0)
+    support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
     cols, states = _columns(code), {0: ((), 0)}
     memo: dict[int, frozenset[int]] = {}  # coloops -> decoded set
     for known in masks:

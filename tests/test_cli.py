@@ -19,6 +19,8 @@ from picod import oracles
 from picod.cli import _build_parser, main
 from picod.instance import build_complete_s, instance_wire
 
+from util import stack_headroom
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -303,11 +305,20 @@ class TestReport:
         assert err.startswith("error:")
 
     def test_field_is_not_an_option(self, capsys):
-        # the witness code's field is the partition scheme's own
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "-m", "3", "-t", "1", "-S", "1", "--field", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --field 3" in capsys.readouterr().err
+        # each construction fixes its own field: the partition scheme's for
+        # the report's witness code, GF(2) for the circular-arc rows
+        for command in (["report"], ["hypergraph", "circular-arc"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "-m", "3", "-t", "1", "-S", "1", "--field", "3"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --field 3" in capsys.readouterr().err
+
+    def test_search_deeper_than_the_stack_exits_two(self, capsys):
+        # the lower-bound search recurses once per user: 150 users
+        with stack_headroom(60):
+            rc, out, err = run_cli(capsys, "report", "-m", "150", "-t", "1", "-S", "149")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
 
     def test_spent_node_budget_reports_partial_bound(self, capsys):
         rc, out, _ = run_cli(
@@ -544,20 +555,6 @@ class TestHypergraphCommands:
             capsys, "hypergraph", *command, "-m", "3", "-t", "1", "-S", "2", "--cap-nodes", "1",
         )
         assert (rc, out, err) == (2, "", "error: 1-factor search exceeded 1 nodes\n")
-
-    def test_non_prime_field_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["hypergraph", "circular-arc", "-m", "3", "-t", "1", "-S", "1", "--field", "4"])
-        assert exc.value.code == 2
-        assert "field size 4 is not prime" in capsys.readouterr().err
-
-    def test_circular_arc_larger_field(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "hypergraph", "circular-arc",
-            "-m", "3", "-t", "1", "-S", "1", "--field", "3",
-        )
-        assert rc == 0
-        assert json.loads(out)["code"]["q"] == 3
 
 
 class TestOracleCommands:

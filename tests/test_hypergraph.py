@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from picod.errors import NotAFactor, SearchOverflow
+from picod.errors import SearchOverflow
 from picod.hypergraph import (
     Hypergraph,
     _drop_dominated,
@@ -17,7 +17,14 @@ from picod.hypergraph import (
 from picod.instance import Instance, build_complete_s
 from picod.verifier import is_valid
 
-from util import brute_exact_cover, brute_is_arc, random_arc_instance, random_instance, seeded
+from util import (
+    brute_exact_cover,
+    brute_is_arc,
+    random_arc_instance,
+    random_instance,
+    seeded,
+    stack_headroom,
+)
 
 
 def mask(vertices):
@@ -113,6 +120,13 @@ class TestHasOneFactor:
     def test_no_vertices_needs_no_edges(self):
         assert has_one_factor(Hypergraph(0, ())) == ()
 
+    def test_search_depth_is_not_call_depth(self):
+        # one chosen edge per vertex: 150 levels deep
+        n = 150
+        h = Hypergraph(n, tuple(1 << v for v in range(n)))
+        with stack_headroom(60):
+            assert has_one_factor(h) == tuple(range(n))
+
     def test_node_cap_overflow_is_not_a_verdict(self):
         inst = build_complete_s(3, 1, {1})
         with pytest.raises(SearchOverflow):
@@ -142,21 +156,17 @@ class TestOneTransmissionCode:
         assert code.rows == ((1, 1, 1),)
         assert is_valid(code, inst).valid
 
-    def test_field_choice_is_kept(self):
-        h = Hypergraph(2, edges({0}, {1}))
-        assert one_transmission_code(h, (0, 1), q=5).q == 5
-
     def test_rejections(self):
         h = Hypergraph(2, edges({0}, {1}, {0, 1}))
-        with pytest.raises(NotAFactor):
+        with pytest.raises(ValueError, match="topology has no users"):
             one_transmission_code(Hypergraph(0, ()), ())
-        with pytest.raises(NotAFactor):
+        with pytest.raises(ValueError, match="factor repeats an edge"):
             one_transmission_code(h, (0, 0))
-        with pytest.raises(NotAFactor):
+        with pytest.raises(ValueError, match="factor uses an unknown edge label"):
             one_transmission_code(h, (0, 3))
-        with pytest.raises(NotAFactor):
+        with pytest.raises(ValueError, match="edge 2 overlaps the rest of the factor"):
             one_transmission_code(h, (0, 2))
-        with pytest.raises(NotAFactor):
+        with pytest.raises(ValueError, match="factor leaves a user uncovered"):
             one_transmission_code(h, (0,))
 
 

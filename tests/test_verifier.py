@@ -1,7 +1,6 @@
 """Decodability closure, validity reports, and exhaustive code search."""
 
 import time
-from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -101,7 +100,7 @@ class TestClosure:
                     for _ in range(rng.randint(0, 3))
                 )
                 code = LinearCode(q, m, rows)
-                support = reduce(int.__or__, code.masks, 0)
+                support = _mask(c for c in range(m) if any(r[c] for r in rows))
                 known = frozenset(rng.sample(range(m), rng.randint(0, m)))
                 mask = _mask(known)
                 want = brute_closure(q, rows, m, known) - known
@@ -265,16 +264,17 @@ class TestIsValid:
             assert elapsed < 1.0
 
     def test_matches_codeword_supports(self):
-        # GF(7) partition codes with an MDS block (GF(5) has too few nodes
-        # for m >= 6, so its codes are m = 5), a code with a repeated, a
-        # parallel and a zero column, and every one-row-dropped variant
+        # partition codes with an MDS block, over GF(7) at m = 6-7 and GF(5)
+        # at m = 5, a code with a repeated, a parallel and a zero column, and
+        # every one-row-dropped variant
         cases = [
-            (build_complete_s(m, t, S), build_partition_scheme(optimal_partition(m, t, S), q))
-            for m, t, S, q in [
-                (6, 1, {3, 4}, 7), (6, 1, {0, 4}, 7), (7, 1, {1, 5}, 7),
-                (7, 2, {3, 4}, 7), (5, 1, {2, 3}, 5), (5, 1, {0, 3}, 5),
+            (build_complete_s(m, t, S), build_partition_scheme(optimal_partition(m, t, S)))
+            for m, t, S in [
+                (6, 1, {3, 4}), (6, 1, {0, 4}), (7, 1, {1, 5}),
+                (7, 2, {3, 4}), (5, 1, {2, 3}), (5, 1, {0, 3}),
             ]
         ]
+        assert [code.q for _, code in cases] == [7, 7, 7, 7, 5, 5]
         odd = ((1, 2, 0, 1, 3, 4), (0, 1, 0, 0, 2, 2), (1, 0, 0, 1, 1, 0), (2, 3, 0, 2, 4, 1))
         cases.append((build_complete_s(6, 1, {1, 3}), LinearCode(5, 6, odd)))
         checked = 0

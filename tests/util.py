@@ -4,9 +4,11 @@ Everything here is deliberately reimplemented from first principles with
 plain enumeration, so a test never validates a function against itself.
 """
 
+import contextlib
 import itertools
 import math
 import random
+import sys
 
 from picod.instance import Instance
 
@@ -372,3 +374,18 @@ def random_assignment(rng, inst):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@contextlib.contextmanager
+def stack_headroom(frames):
+    """Lower the recursion limit to `frames` above the caller's depth, and
+    restore it on exit: a search that recurses once per level fails inside."""
+    depth, frame = 0, sys._getframe(2)  # the caller's frame, past contextlib's
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -46,7 +46,10 @@ T = TypeVar("T")
 
 
 def _positive_arg(text: str) -> int:
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if v <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return v
@@ -142,6 +145,8 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 def cmd_one_factor(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
+    if inst.t != 1:
+        raise ValueError("the one-transmission code needs t = 1")
     topo = network_topology(inst)
     factor = has_one_factor(topo, node_cap=args.cap_nodes)
     obj: dict = {"factor": None, "code": None}

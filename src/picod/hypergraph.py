@@ -50,32 +50,21 @@ def network_topology(inst: Instance) -> Hypergraph:
 def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int, ...] | None:
     """Edge labels covering every vertex exactly once, or None if impossible.
 
-    Depth-first exact cover, always branching on the vertex with the fewest
-    usable edges.  Raises SearchOverflow when the node budget runs out, which
-    is different from a proven None.
+    Depth-first exact cover branching on the lowest uncovered vertex: every
+    factor has one edge through it, so its edges that fit, in label order,
+    are a complete choice.  Raises SearchOverflow when the node budget runs
+    out, which is different from a proven None.
     """
-    labeled = [(j, e) for j, e in enumerate(h.edges) if e]
     budget = node_cap
 
     def branches(uncovered: int) -> Iterator[tuple[int, int]]:
-        """One node: the usable edges through the vertex with the fewest."""
+        """One node: the edges through the lowest uncovered vertex that fit."""
         nonlocal budget
         if budget <= 0:
             raise SearchOverflow(f"1-factor search exceeded {node_cap} nodes")
         budget -= 1
-        usable = [(j, e) for j, e in labeled if not e & ~uncovered]
-        options: list[tuple[int, int]] | None = None
-        rest = uncovered
-        while rest:
-            v = rest & -rest
-            rest ^= v
-            mine = [(j, e) for j, e in usable if e & v]
-            if options is None or len(mine) < len(options):
-                options = mine
-                if not mine:
-                    break
-        assert options is not None
-        return iter(options)
+        v = uncovered & -uncovered
+        return iter([(j, e) for j, e in enumerate(h.edges) if e & v and not e & ~uncovered])
 
     full = (1 << h.n_vertices) - 1
     if not full:

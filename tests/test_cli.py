@@ -509,6 +509,14 @@ class TestHypergraphCommands:
         assert rc == 1
         assert json.loads(out) == {"factor": None, "code": None}
 
+    def test_one_factor_needs_t_one(self, capsys, tmp_path):
+        # a 1-factor's one row leaves each user a single unknown message
+        path = tmp_path / "t2.json"
+        path.write_text(json.dumps({"m": 3, "t": 2, "users": [[1], [2]]}))
+        for source in (["--instance", str(path)], ["-m", "4", "-t", "2", "-S", "2"]):
+            rc, out, err = run_cli(capsys, "hypergraph", "one-factor", *source)
+            assert (rc, out, err) == (2, "", "error: the one-transmission code needs t = 1\n")
+
     def test_circular_arc_with_trace(self, capsys):
         rc, out, _ = run_cli(
             capsys, "hypergraph", "circular-arc",
@@ -640,7 +648,53 @@ class TestOracleCommands:
         assert "cap" in err
 
 
+def typed_options():
+    """(command words, option string) for every option of every command that
+    converts its value, found by walking a freshly built parser."""
+    found = []
+
+    def walk(parser, words):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, [*words, name])
+            elif action.option_strings and action.type is not None:
+                found.append((words, action.option_strings[0]))
+
+    walk(_build_parser.__wrapped__(), [])
+    return found
+
+
+TYPED_OPTIONS = typed_options()
+
+
 class TestParserBasics:
+    @pytest.mark.parametrize(
+        "words,option", TYPED_OPTIONS, ids=[" ".join([*w, o]) for w, o in TYPED_OPTIONS]
+    )
+    def test_non_integer_value_names_no_private_function(self, capsys, words, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*words, option, "abc"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"error: argument {option}" in errors[0]
+        assert not re.search(r"(?<!\w)_\w", errors[0]), errors[0]
+
+    def test_typed_options_include_every_positive_integer(self):
+        # the options parsed as positive integers, so the walk cannot
+        # silently lose them
+        ids = {" ".join([*w, o]) for w, o in TYPED_OPTIONS}
+        sources = ["gen", "report", "verify", "hypergraph topology",
+                   "hypergraph one-factor", "hypergraph circular-arc"]
+        expected = {f"{c} {o}" for c in sources for o in ("-m", "-t", "--cap-users")}
+        expected |= {f"{c} --cap-nodes" for c in
+                     ("report", "hypergraph one-factor", "hypergraph circular-arc")}
+        expected |= {"oracle lemma4-random --trials", "oracle lemma3-sweep -s"}
+        expected |= {f"oracle block-cover {o}" for o in
+                     ("-m", "-s", "-t", "--max-block-size", "--cap-collections")}
+        assert expected <= ids
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

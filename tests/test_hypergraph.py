@@ -1,6 +1,7 @@
 """Topology hypergraphs, 1-factors, and the circular-arc scheme."""
 
 import itertools
+import time
 
 import pytest
 
@@ -121,11 +122,14 @@ class TestHasOneFactor:
         assert has_one_factor(Hypergraph(0, ())) == ()
 
     def test_search_depth_is_not_call_depth(self):
-        # one chosen edge per vertex: 150 levels deep
-        n = 150
+        # one chosen edge per vertex: 600 levels deep, and each level must
+        # not rescan every uncovered vertex
+        n = 600
         h = Hypergraph(n, tuple(1 << v for v in range(n)))
+        start = time.perf_counter()
         with stack_headroom(60):
             assert has_one_factor(h) == tuple(range(n))
+        assert time.perf_counter() - start < 1.0
 
     def test_node_cap_overflow_is_not_a_verdict(self):
         inst = build_complete_s(3, 1, {1})
@@ -134,8 +138,16 @@ class TestHasOneFactor:
 
     def test_matches_exhaustive_exact_cover(self):
         rng = seeded(404)
-        for _ in range(40):
-            h = random_hypergraph(rng)
+        graphs = [random_hypergraph(rng) for _ in range(40)]
+        graphs += [network_topology(random_arc_instance(rng, n_max=20, m_max=10))
+                   for _ in range(40)]
+        graphs += [
+            network_topology(build_complete_s(m, 1, set(sizes)))
+            for m in range(1, 7)
+            for r in range(1, m + 1)
+            for sizes in itertools.combinations(range(m), r)
+        ]
+        for h in graphs:
             sets = [members(e) for e in h.edges]
             brute = brute_exact_cover(h.n_vertices, sets)
             found = has_one_factor(h)

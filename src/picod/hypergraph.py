@@ -50,21 +50,37 @@ def network_topology(inst: Instance) -> Hypergraph:
 def has_one_factor(h: Hypergraph, node_cap: int = DEFAULT_NODE_CAP) -> tuple[int, ...] | None:
     """Edge labels covering every vertex exactly once, or None if impossible.
 
-    Depth-first exact cover branching on the lowest uncovered vertex: every
-    factor has one edge through it, so its edges that fit, in label order,
-    are a complete choice.  Raises SearchOverflow when the node budget runs
-    out, which is different from a proven None.
+    Depth-first exact cover, always branching on the first vertex with the
+    fewest usable edges, so a vertex no edge can cover ends a branch at once
+    and a vertex with one edge forces it.  Raises SearchOverflow when the
+    node budget runs out, which is different from a proven None.
     """
     budget = node_cap
 
     def branches(uncovered: int) -> Iterator[tuple[int, int]]:
-        """One node: the edges through the lowest uncovered vertex that fit."""
+        """One node: the usable edges through the first vertex with the fewest."""
         nonlocal budget
         if budget <= 0:
             raise SearchOverflow(f"1-factor search exceeded {node_cap} nodes")
         budget -= 1
-        v = uncovered & -uncovered
-        return iter([(j, e) for j, e in enumerate(h.edges) if e & v and not e & ~uncovered])
+        usable = [(j, e) for j, e in enumerate(h.edges) if not e & ~uncovered]
+        once = twice = 0  # the vertices in at least one, two usable edges
+        for _, e in usable:
+            once, twice = once | e, twice | once & e
+        # the fewest is 0 on the vertices in no usable edge, else 1 on those
+        # in one, else at least 2: the scan stops at the first that many
+        rest = uncovered & ~once or once & ~twice or uncovered
+        options: list[tuple[int, int]] | None = None
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            mine = [(j, e) for j, e in usable if e & v]
+            if options is None or len(mine) < len(options):
+                options = mine
+                if len(mine) <= 2:
+                    break
+        assert options is not None
+        return iter(options)
 
     full = (1 << h.n_vertices) - 1
     if not full:

@@ -648,52 +648,20 @@ class TestOracleCommands:
         assert "cap" in err
 
 
-def typed_options():
-    """(command words, option string) for every option of every command that
-    converts its value, found by walking a freshly built parser."""
-    found = []
-
-    def walk(parser, words):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for name, sub in action.choices.items():
-                    walk(sub, [*words, name])
-            elif action.option_strings and action.type is not None:
-                found.append((words, action.option_strings[0]))
-
-    walk(_build_parser.__wrapped__(), [])
-    return found
-
-
-TYPED_OPTIONS = typed_options()
-
-
 class TestParserBasics:
-    @pytest.mark.parametrize(
-        "words,option", TYPED_OPTIONS, ids=[" ".join([*w, o]) for w, o in TYPED_OPTIONS]
-    )
-    def test_non_integer_value_names_no_private_function(self, capsys, words, option):
+    @pytest.mark.parametrize("argv", [
+        ["gen", "-m", "abc", "-t", "1", "-S", "1"],
+        ["report", "-m", "3", "-t", "1", "-S", "1", "--cap-nodes", "abc"],
+        ["oracle", "block-cover", "-m", "4", "-s", "2", "-t", "1", "--max-block-size", "abc"],
+    ])
+    def test_non_integer_value_names_no_private_function(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([*words, option, "abc"])
+            main(argv)
         assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1
-        assert f"error: argument {option}" in errors[0]
-        assert not re.search(r"(?<!\w)_\w", errors[0]), errors[0]
-
-    def test_typed_options_include_every_positive_integer(self):
-        # the options parsed as positive integers, so the walk cannot
-        # silently lose them
-        ids = {" ".join([*w, o]) for w, o in TYPED_OPTIONS}
-        sources = ["gen", "report", "verify", "hypergraph topology",
-                   "hypergraph one-factor", "hypergraph circular-arc"]
-        expected = {f"{c} {o}" for c in sources for o in ("-m", "-t", "--cap-users")}
-        expected |= {f"{c} --cap-nodes" for c in
-                     ("report", "hypergraph one-factor", "hypergraph circular-arc")}
-        expected |= {"oracle lemma4-random --trials", "oracle lemma3-sweep -s"}
-        expected |= {f"oracle block-cover {o}" for o in
-                     ("-m", "-s", "-t", "--max-block-size", "--cap-collections")}
-        assert expected <= ids
+        option = argv[argv.index("abc") - 1]
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: not an integer: 'abc'\n"
+        )
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

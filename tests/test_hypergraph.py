@@ -1,7 +1,6 @@
 """Topology hypergraphs, 1-factors, and the circular-arc scheme."""
 
 import itertools
-import time
 
 import pytest
 
@@ -122,14 +121,23 @@ class TestHasOneFactor:
         assert has_one_factor(Hypergraph(0, ())) == ()
 
     def test_search_depth_is_not_call_depth(self):
-        # one chosen edge per vertex: 600 levels deep, and each level must
-        # not rescan every uncovered vertex
+        # one chosen edge per vertex: 600 levels deep, one node per level
         n = 600
         h = Hypergraph(n, tuple(1 << v for v in range(n)))
-        start = time.perf_counter()
         with stack_headroom(60):
-            assert has_one_factor(h) == tuple(range(n))
-        assert time.perf_counter() - start < 1.0
+            assert has_one_factor(h, node_cap=n) == tuple(range(n))
+
+    def test_uncoverable_vertex_ends_the_search(self):
+        # k independent pairs {2i, 2i+1}, each coverable by two singletons
+        # or by one pair edge, then u, w, x with only the edges {u, x} and
+        # {w, x}: u forces {u, x}, which leaves w no edge.  Branching on the
+        # pairs first would try 2^k covers of them before reaching u.
+        k = 18
+        u, w, x = 2 * k, 2 * k + 1, 2 * k + 2
+        sets = [{v} for v in range(2 * k)] + [{2 * i, 2 * i + 1} for i in range(k)]
+        h = Hypergraph(2 * k + 3, edges(*sets, {u, x}, {w, x}))
+        assert has_one_factor(h) is None
+        assert has_one_factor(h, node_cap=2) is None
 
     def test_node_cap_overflow_is_not_a_verdict(self):
         inst = build_complete_s(3, 1, {1})

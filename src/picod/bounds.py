@@ -122,45 +122,69 @@ def min_mais_lower_bound(
     of a new set before the first that needs a new entry use old entries only,
     so they end in the parent's family, complete since it held no set above v.
 
-    The whole search, over every target, pops at most node_cap sets.  Past
-    that it raises SearchOverflow whose `proven` is the target it was working
-    on: every smaller value was refuted, so the minimum is at least that.
+    A forced user, one with |A| = m - t, has a single choice, so its entries
+    are in every assignment.  They go into the pairs before the scan, and
+    the family is closed from them once: a set they build lies inside the t
+    messages one forced user lacks, so the closure never exceeds the first
+    target t, and every target's scan starts from it.  The scan walks only
+    the other users, in order, and the witness puts each forced user's
+    choice back in its place.  Pruning a prefix earlier this way changes no
+    full assignment's fate, so the first surviving one, and with it value
+    and witness, are those of the scan over every user.
+
+    The whole search, over every target, pops at most node_cap sets, the
+    forced layer's closure included.  Past that it raises SearchOverflow
+    whose `proven` is the target it was working on: every smaller value was
+    refuted, so the minimum is at least that.
 
     On a complete-S instance (`inst.complete_s_sizes`) every message permutation maps
-    the instance to itself.  At depth i the messages split into cells, the
-    atoms of A_0, d_0, ..., A_{i-1}, d_{i-1}, A_i; a permutation keeping each
-    cell fixes users 0..i (their side information is distinct) and reorders
-    only later users.  So choices of user i with equal counts |d & cell| in
-    every cell have the same surviving completions, and only the first per
-    count vector is tried (at depth 0, user 0's first choice).  The full
-    scan's first surviving choice is the first of its orbit, so value and
-    witness agree with it.  Elsewhere each message is its own cell.  Once all
-    cells are singletons, refining and counting prune nothing and are skipped.
+    the instance to itself.  At depth i of the scan the messages split into
+    cells, the atoms of A_0, d_0, ..., A_{i-1}, d_{i-1}, A_i over the scanned
+    users; a permutation keeping each cell fixes those users (their side
+    information is distinct), maps the forced layer (every A of size m - t,
+    with its one choice) to itself and reorders only later users.  So
+    choices of user i with equal counts |d & cell| in every cell have the
+    same surviving completions, and only the first per count vector is tried
+    (at depth 0, the first choice).  The full scan's first surviving choice
+    is the first of its orbit, so value and witness agree with it.
+    Elsewhere each message is its own cell.  Once all cells are singletons,
+    refining and counting prune nothing and are skipped.
     """
     cells0 = [(1 << inst.m) - 1] if inst.complete_s_sizes else [1 << x for x in range(inst.m)]
 
     def refine(cells: list[int], s: int) -> list[int]:
         return [p for c in cells for p in (c & s, c & ~s) if p]
 
-    # the acyclic sets of the current prefix; a failed search restores both
+    # the acyclic sets of the forced layer and the current prefix; a failed
+    # search restores both to the forced layer's
     fam = {0}
     by_msg: list[tuple[int, list[int]]] = [(1 << x, []) for x in range(inst.m)]
-    choices: list[list[tuple]] = []  # per user, built when the scan first reaches it
+    forced = {i: a for i, a in enumerate(inst.masks) if inst.m - a.bit_count() == inst.t}
+    for a in forced.values():
+        for b, masks in by_msg:
+            if not a & b:
+                masks.append(a)
     budget = [node_cap]
+    # a forced entry adds x to U only if U + x lies in its t missing messages,
+    # so this closes: the forced layer's family holds no set above t
+    _close(fam, by_msg, [b for b, masks in by_msg if masks], inst.t, [], budget)
+    rest = [i for i in range(inst.n) if i not in forced]
+    choices: list[list[tuple]] = []  # per user of rest, built when the scan first reaches it
 
     def dfs(
-        i: int, target: int, picked: list[frozenset[int]], cells: list[int]
-    ) -> tuple[frozenset[int], ...] | None:
-        if i == inst.n:
-            return tuple(picked)
-        if i == len(choices):
+        j: int, target: int, picked: list[frozenset[int]], cells: list[int]
+    ) -> list[frozenset[int]] | None:
+        if j == len(rest):
+            return picked
+        i = rest[j]
+        if j == len(choices):
             choices.append([(d, sum(1 << x for x in d), [by_msg[x] for x in d])
                             for d in user_choices(inst, i)])
         a = inst.masks[i]
         cells = refine(cells, a) if len(cells) < inst.m else cells
         orbits = len(cells) < inst.m
         tried: set[tuple[int, ...]] = set()
-        for d, dm, pairs in choices[i]:
+        for d, dm, pairs in choices[j]:
             if orbits:
                 key = tuple((dm & c).bit_count() for c in cells)
                 if key in tried:
@@ -172,7 +196,7 @@ def min_mais_lower_bound(
             added: list[int] = []
             if _close(fam, by_msg, seeds, target, added, budget):
                 picked.append(d)
-                found = dfs(i + 1, target, picked, refine(cells, dm) if orbits else cells)
+                found = dfs(j + 1, target, picked, refine(cells, dm) if orbits else cells)
                 if found is not None:
                     return found
                 picked.pop()
@@ -183,9 +207,12 @@ def min_mais_lower_bound(
 
     # t is a sound start: one user's t desired messages form an acyclic set
     for target in range(inst.t if inst.n else 0, inst.m + 1):
-        witness = dfs(0, target, [], cells0)
-        if witness is not None:
-            return target, witness
+        found = dfs(0, target, [], cells0)
+        if found is not None:
+            picked = iter(found)
+            return target, tuple(
+                user_choices(inst, i)[0] if i in forced else next(picked) for i in range(inst.n)
+            )
     raise AssertionError("no assignment found below the trivial bound")
 
 
@@ -329,10 +356,13 @@ def full_report(inst: Instance, node_cap: int = DEFAULT_MAIS_NODE_CAP) -> BoundR
 
     The lower bound is the exact assignment-minimized acyclic bound
     (mais-exact) when its search finishes within node_cap popped sets.
-    Otherwise it is the value the search had proven when the budget ran out
-    (mais-partial): sound, since every smaller value was refuted, but
-    possibly below the exact bound; the witness assignment is then the one
-    the scheme induces.  Either way it lists users in inst's order.
+    Otherwise it is the value the search had proven when the budget ran out,
+    and the witness assignment is the one the scheme induces.  That value is
+    sound, since every smaller value was refuted, and exact when it equals
+    the scheme's length: the induced assignment's MAIS lies between them, as
+    a code that serves an assignment is at least as long as its MAIS.  Below
+    that length it may be below the exact bound (mais-partial).  Either way
+    the witness lists users in inst's order.
     """
     sizes = inst.complete_s_sizes
     if not sizes:
@@ -346,8 +376,10 @@ def full_report(inst: Instance, node_cap: int = DEFAULT_MAIS_NODE_CAP) -> BoundR
         lower, witness_assignment = min_mais_lower_bound(inst, node_cap)
         method = MAIS_EXACT
     except SearchOverflow as exc:
-        lower, method = exc.proven, MAIS_PARTIAL
-        witness_assignment = report.assignment(inst.t)
+        lower, witness_assignment = exc.proven, report.assignment(inst.t)
+        method = MAIS_EXACT if lower == code.ell else MAIS_PARTIAL
+        if method == MAIS_EXACT:
+            assert mais(inst, witness_assignment) == lower, "induced MAIS is not the code length"
     return BoundReport(
         m=inst.m,
         t=inst.t,

@@ -65,6 +65,26 @@ def small_random_instance(seed):
             return inst
 
 
+def forced_random_instance(seed):
+    """small_random_instance with one to three users inserted anywhere in the
+    user order whose side information has m - t messages: each of them has
+    a single choice."""
+    rng = seeded(f"forced-{seed}")
+    inst = small_random_instance(seed)
+    users = list(inst.users)
+    for _ in range(rng.randint(1, 3)):
+        users.insert(rng.randint(0, len(users)), frozenset(rng.sample(range(inst.m), inst.m - inst.t)))
+    return Instance(inst.m, inst.t, tuple(users))
+
+
+def random_cases(seeds, forced_seeds):
+    """(instance builder, seed) pairs: small_random_instance under its seed
+    as id, then forced_random_instance under 'forced-<seed>'."""
+    return [pytest.param(small_random_instance, s, id=str(s)) for s in seeds] + [
+        pytest.param(forced_random_instance, s, id=f"forced-{s}") for s in forced_seeds
+    ]
+
+
 class TestMais:
     def test_single_user(self):
         inst = Instance(m=3, t=1, users=(frozenset({0}),))
@@ -193,16 +213,21 @@ class TestMinMais:
         low = min(v for v, _ in scored)
         assert min_mais_lower_bound(inst) == (low, next(d for v, d in scored if v == low))
 
-    @pytest.mark.parametrize("m,t,sizes", SMALL_COMPLETE_PROFILES)
-    def test_witness_is_first_brute_force_minimizer(self, m, t, sizes):
+    @pytest.mark.parametrize("built", [
+        *(pytest.param(build_complete_s(m, t, sizes), id=f"{m}-{t}-sizes{k}")
+          for k, (m, t, sizes) in enumerate(SMALL_COMPLETE_PROFILES)),
+        *(pytest.param(forced_random_instance(s), id=f"forced-{s}") for s in range(300, 312)),
+    ])
+    def test_witness_is_first_brute_force_minimizer(self, built):
         # in build order, reversed and shuffled, so user 0 is not always in
-        # the lowest layer; every order enumerates the same assignments
-        built = build_complete_s(m, t, sizes)
+        # the lowest layer (nor a forced user in its place); every order
+        # enumerates the same assignments
+        m, t = built.m, built.t
         score = {d: brute_mais(built, d) for d in enumerate_assignments(built)}
         low = min(score.values())
         order = list(range(built.n))
         shuffled = order[:]
-        seeded(100 * m + 10 * t + len(sizes)).shuffle(shuffled)
+        seeded(100 * m + 10 * t + len(built.complete_s_sizes)).shuffle(shuffled)
         for perm in (order, order[::-1], shuffled):
             inst = Instance(m, t, tuple(built.users[p] for p in perm))
             first = next(
@@ -223,9 +248,9 @@ class TestMinMais:
             min_mais_lower_bound(inst, node_cap=1000)
         assert inst.t <= info.value.proven <= 4
 
-    @pytest.mark.parametrize("seed", range(64, 88))
-    def test_overflow_proves_a_lower_bound(self, seed):
-        inst = small_random_instance(seed)
+    @pytest.mark.parametrize("make,seed", random_cases(range(64, 88), range(200, 212)))
+    def test_overflow_proves_a_lower_bound(self, make, seed):
+        inst = make(seed)
         want = brute_min_mais(inst, enumerate_assignments(inst))
         cap = 1
         while True:
@@ -244,8 +269,8 @@ class TestMinMais:
 
     @pytest.mark.parametrize("m,t,sizes,pops,value,witness", [
         (5, 1, {1, 3}, 28402, 4, "1 0 0 0 0 3 2 2 1 1 1 0 0 0 0"),
-        (5, 1, {1, 3, 4}, 28418, 4, "1 0 0 0 0 3 2 2 1 1 1 0 0 0 0 4 3 2 1 0"),
-        (5, 2, {0, 1, 3}, 7058, 5, "01 12 02 01 01 01 34 24 23 14 13 12 04 03 02 01"),
+        (5, 1, {1, 3, 4}, 22109, 4, "1 0 0 0 0 3 2 2 1 1 1 0 0 0 0 4 3 2 1 0"),
+        (5, 2, {0, 1, 3}, 171, 5, "01 12 02 01 01 01 34 24 23 14 13 12 04 03 02 01"),
     ])
     def test_exact_pop_budget(self, m, t, sizes, pops, value, witness):
         # the exact number of sets the search pops on these instances, so a
@@ -638,6 +663,15 @@ class TestFullReport:
         assert rep.achieved == 4
         assert 1 <= rep.lower_bound <= 4
         validate_assignment(inst, rep.witness_assignment)
+
+    def test_spent_budget_at_the_code_length_is_exact(self):
+        # the search needs 28,402 pops here; at 28,400 it has refuted 3 and
+        # proven 4, the scheme's length, so the induced assignment is a minimizer
+        inst = build_complete_s(5, 1, {1, 3})
+        rep = full_report(inst, node_cap=28400)
+        assert (rep.lower_bound, rep.lower_bound_method, rep.achieved) == (4, MAIS_EXACT, 4)
+        assert rep.witness_assignment == is_valid(rep.witness_code, inst).assignment(1)
+        assert brute_mais(inst, rep.witness_assignment) == 4
 
     @pytest.mark.parametrize("m,t,sizes", [(5, 2, {1, 2, 3}), (6, 1, {0, 1, 4, 5})])
     def test_large_unicast_expansion_stays_exact(self, m, t, sizes):

@@ -314,11 +314,20 @@ class TestReport:
             assert "unrecognized arguments: --field 3" in capsys.readouterr().err
 
     def test_search_deeper_than_the_stack_exits_two(self, capsys):
-        # the lower-bound search recurses once per user: 150 users
+        # the lower-bound search recurses once per user it branches on: 64
+        # users, none of them with a single choice
         with stack_headroom(60):
-            rc, out, err = run_cli(capsys, "report", "-m", "150", "-t", "1", "-S", "149")
+            rc, out, err = run_cli(capsys, "report", "-m", "64", "-t", "1", "-S", "1")
         assert (rc, out) == (2, "")
         assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    def test_forced_users_need_no_stack(self, capsys):
+        # all 150 users have one choice each, preloaded before the search
+        with stack_headroom(60):
+            rc, out, _ = run_cli(capsys, "report", "-m", "150", "-t", "1", "-S", "149")
+        assert rc == 0
+        obj = json.loads(out)
+        assert (obj["lower_bound"], obj["lower_bound_method"], obj["tight"]) == (1, "mais-exact", True)
 
     def test_spent_node_budget_reports_partial_bound(self, capsys):
         rc, out, _ = run_cli(
@@ -328,6 +337,14 @@ class TestReport:
         obj = json.loads(out)
         assert obj["lower_bound_method"] == "mais-partial"
         assert 1 <= obj["lower_bound"] <= obj["achieved"]
+
+    def test_spent_node_budget_meeting_the_code_is_exact(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "report", "-m", "5", "-t", "1", "-S", "1,3", "--cap-nodes", "28400"
+        )
+        assert rc == 0
+        obj = json.loads(out)
+        assert (obj["lower_bound"], obj["lower_bound_method"], obj["achieved"]) == (4, "mais-exact", 4)
 
     def test_zero_node_budget_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -169,7 +169,7 @@ def cmd_circular_arc(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma3_sweep(args: argparse.Namespace) -> int:
-    summary = sweep_intersection_families(args.ground_size)
+    summary = sweep_intersection_families(args.ground_size, collection_cap=args.cap_collections)
     _emit(args, asdict(summary) | {"ok": summary.ok})
     return 0 if summary.ok else 1
 
@@ -276,6 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exhaustive intersection-family witness sweep",
     )
     p.add_argument("-s", "--ground-size", type=_positive_arg, required=True)
+    p.add_argument(
+        "--cap-collections", type=_positive_arg, default=DEFAULT_COLLECTION_CAP,
+        help="most multisets of blocks to check",
+    )
     p.set_defaults(func=cmd_lemma3_sweep)
 
     p = osub.add_parser(

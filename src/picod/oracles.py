@@ -39,6 +39,13 @@ def _mask(elements: Iterable[int]) -> int:
     return sum(1 << v for v in elements)
 
 
+# _SUBSETS[y][k]: the masks of the k-subsets of range(y), for y <= 8
+_SUBSETS = [
+    [[_mask(c) for c in itertools.combinations(range(y), k)] for k in range(y + 1)]
+    for y in range(9)
+]
+
+
 # ---------- averaging pair ----------
 
 
@@ -68,15 +75,20 @@ def _pair(masks: Sequence[int], ground: int) -> tuple[int, int]:
     scale = math.lcm(*sizes)
     weight = [0] * ground.bit_length()
     for b, n in zip(masks, sizes):
+        w = scale // n
         while b:
             low = b & -b
-            weight[low.bit_length() - 1] += scale // n
+            weight[low.bit_length() - 1] += w
             b ^= low
     # columns outside the ground weigh 0, below every column of a block
-    j = max(range(len(weight)), key=weight.__getitem__)
+    best = max(weight)
+    j = weight.index(best)
     # total weight is len(masks) * scale, so the best column reaches the average
-    assert weight[j] * ground.bit_count() >= len(masks) * scale
-    _, i = min((n, k) for k, (b, n) in enumerate(zip(masks, sizes)) if b >> j & 1)
+    assert best * ground.bit_count() >= len(masks) * scale
+    i, size = 0, scale + 1  # the first smallest block containing j; no block exceeds scale
+    for k, (b, n) in enumerate(zip(masks, sizes)):
+        if n < size and b >> j & 1:
+            i, size = k, n
     return i, j
 
 
@@ -92,8 +104,11 @@ class AveragingSuiteSummary:
 
 
 def random_averaging_suite(trials: int, seed: int) -> AveragingSuiteSummary:
-    """Random families of 1 to 8 nonempty blocks over a ground set of 1 to 8
-    elements, each checked against the pair bound."""
+    """Random families of nonempty blocks, each checked against the pair bound.
+
+    The ground size y and block count x are uniform in 1..8; each block has a
+    size k uniform in 1..y and is then a uniform k-subset of range(y).
+    """
     import random
 
     rng = random.Random(seed)
@@ -101,7 +116,8 @@ def random_averaging_suite(trials: int, seed: int) -> AveragingSuiteSummary:
     for _ in range(trials):
         y = rng.randint(1, 8)
         x = rng.randint(1, 8)
-        blocks = [_mask(rng.sample(range(y), rng.randint(1, y))) for _ in range(x)]
+        subsets = _SUBSETS[y]
+        blocks = [rng.choice(subsets[rng.randint(1, y)]) for _ in range(x)]
         i, j = _pair(blocks, (1 << y) - 1)
         c_j = sum(b >> j & 1 for b in blocks)
         failures += not blocks[i] >> j & 1 or c_j * y < x * blocks[i].bit_count()
@@ -175,7 +191,9 @@ class SweepSummary:
         return self.failures == 0
 
 
-def sweep_intersection_families(ground_size: int) -> SweepSummary:
+def sweep_intersection_families(
+    ground_size: int, collection_cap: int = DEFAULT_COLLECTION_CAP
+) -> SweepSummary:
     """Check every ordered family of s + 1 nonempty subsets of range(s).
 
     Reordering the blocks relabels a witness's indices and leaves the
@@ -184,12 +202,26 @@ def sweep_intersection_families(ground_size: int) -> SweepSummary:
     re-verifies one witness per multiset of blocks (bitmasks), and weights it
     by the multiset's number of orderings, (s + 1)! / prod(c!) over the
     multiplicities c.  `families` counts the ordered families, (2^s - 1)^(s+1);
-    `distinct_keys` counts the multisets; `failures` counts ordered families
-    whose witness does not verify.
+    `distinct_keys` counts the multisets, C(2^s + s - 1, s + 1); `failures`
+    counts ordered families whose witness does not verify.
+
+    Raises CapExceeded before any work when the multisets outnumber
+    collection_cap.  Their count has about s^2 bits and exceeds 2^s once
+    s >= 2, so once 2^s exceeds the cap the count is not computed: s itself
+    is refused, against the largest ground size the cap admits.
     """
     s = ground_size
     if s < 1:
         raise ValueError("ground size must be positive")
+
+    def multisets(g: int) -> int:
+        return math.comb((1 << g) + g - 1, g + 1)
+
+    if s >= max(2, collection_cap.bit_length()):
+        largest = next(g for g in itertools.count() if multisets(g + 1) > collection_cap)
+        raise CapExceeded("intersection sweep ground size", s, largest)
+    if multisets(s) > collection_cap:
+        raise CapExceeded("intersection multisets", multisets(s), collection_cap)
     orderings = math.factorial(s + 1)
     families = keys = failures = 0
     for fam in itertools.combinations_with_replacement(range(1, 1 << s), s + 1):

@@ -591,6 +591,17 @@ class TestOracleCommands:
         assert obj["failures"] == 0
         assert obj["ok"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["-s", "30"],
+        ["-s", "3", "--cap-collections", "209"],
+    ])
+    def test_lemma3_sweep_past_its_cap_exits_two(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "oracle", "lemma3-sweep", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap" in err and "Traceback" not in err
+
     def test_lemma3_sweep_has_no_jobs_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "lemma3-sweep", "-s", "2", "--jobs", "2"])

@@ -1,6 +1,7 @@
 """Averaging pairs, intersection-family witnesses, and block covers."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -104,21 +105,46 @@ class TestAveragingPair:
             assert averaging_pair(blocks, y) == fraction_averaging_pair(blocks, y)
 
     def test_integer_weights_match_fractions_inside_the_sweep(self, monkeypatch):
-        real = oracles._pair
-        seen = []
-
-        def recording(masks, ground):
-            seen.append((list(masks), ground))
-            return real(masks, ground)
-
-        monkeypatch.setattr(oracles, "_pair", recording)
+        seen = record_pairs(monkeypatch)
         assert sweep_intersection_families(3).ok
         assert seen
-        for masks, ground in seen:
+        for masks, _, pair in seen:
             # the recursion narrows the ground mask instead of relabeling, so
             # columns outside it weigh 0 and never win the comparison
             blocks = [frozenset(v for v in range(3) if b >> v & 1) for b in masks]
-            assert real(masks, ground) == fraction_averaging_pair(blocks, 3)
+            assert pair == fraction_averaging_pair(blocks, 3)
+
+    def test_integer_weights_match_fractions_on_the_suites_draws(self, monkeypatch):
+        seen = record_pairs(monkeypatch)
+        assert random_averaging_suite(2000, seed=508).ok
+        assert len(seen) == 2000
+        for masks, ground, pair in seen:
+            y = ground.bit_length()
+            blocks = [frozenset(v for v in range(y) if b >> v & 1) for b in masks]
+            assert pair == fraction_averaging_pair(blocks, y)
+
+    def test_suite_draws_each_k_subset_from_its_own_list(self):
+        # a uniform size, then a uniform choice from its list, is the law of
+        # rng.sample(range(y), k) as long as each list holds every k-subset once
+        for y in range(1, 9):
+            for k in range(1, y + 1):
+                masks = oracles._SUBSETS[y][k]
+                assert len(masks) == len(set(masks)) == math.comb(y, k)
+                assert set(masks) == {b for b in range(1 << y) if b.bit_count() == k}
+
+
+def record_pairs(monkeypatch):
+    """Wrap oracles._pair; the list collects (masks, ground, result) per call."""
+    real = oracles._pair
+    seen = []
+
+    def recording(masks, ground):
+        pair = real(masks, ground)
+        seen.append((list(masks), ground, pair))
+        return pair
+
+    monkeypatch.setattr(oracles, "_pair", recording)
+    return seen
 
 
 def fraction_averaging_pair(blocks, ground_size):
@@ -256,6 +282,28 @@ class TestSweep:
     def test_rejects_nonpositive_ground(self):
         with pytest.raises(ValueError):
             sweep_intersection_families(0)
+
+    @pytest.mark.parametrize("s,count", [(5, 1947792), (6, 1078897248)])
+    def test_default_cap_refuses_before_any_work(self, monkeypatch, s, count):
+        monkeypatch.setattr(oracles, "_witness", None)  # any check would fail
+        with pytest.raises(CapExceeded) as exc:
+            sweep_intersection_families(s)
+        assert (exc.value.size, exc.value.cap) == (count, oracles.DEFAULT_COLLECTION_CAP)
+
+    def test_cap_bounds_the_multisets_exactly(self):
+        assert sweep_intersection_families(3, collection_cap=210).distinct_keys == 210
+        with pytest.raises(CapExceeded) as exc:
+            sweep_intersection_families(3, collection_cap=209)
+        assert exc.value.size == 210
+
+    @pytest.mark.parametrize("s", [30, 10**9])
+    def test_refuses_a_ground_size_without_counting_its_multisets(self, monkeypatch, s):
+        # 2^s alone exceeds the cap; the refusal names the largest ground
+        # size whose multisets fit, 4 at the default cap
+        monkeypatch.setattr(oracles, "_witness", None)
+        with pytest.raises(CapExceeded) as exc:
+            sweep_intersection_families(s)
+        assert (exc.value.size, exc.value.cap) == (s, 4)
 
 
 def reference_cover_check(m, s, t, blocks):

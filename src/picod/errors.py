@@ -5,6 +5,13 @@ class PicodError(Exception):
     """Base class for all toolkit errors."""
 
 
+def _count(n: int) -> str:
+    """n in decimal below 2^64, else by its power of two: a decimal string
+    of more than 4300 digits raises ValueError."""
+    k = n.bit_length() - 1
+    return str(n) if k < 64 else f"2^{k}" if n == 1 << k else f"over 2^{k}"
+
+
 class CapExceeded(PicodError):
     """An input size exceeds its cap, refused before any work starts.
 
@@ -14,7 +21,7 @@ class CapExceeded(PicodError):
     """
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what}: size {size} exceeds cap {cap}")
+        super().__init__(f"{what}: size {_count(size)} exceeds cap {_count(cap)}")
         self.what = what
         self.size = size
         self.cap = cap

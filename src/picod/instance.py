@@ -116,7 +116,11 @@ def build_complete_s(
         for s in vals
         for combo in combinations(range(m), s)
     )
-    return Instance(m, t, users)
+    inst = Instance(m, t, users)
+    # fill the cached `masks` in the same order, one C-level sum per user
+    bits = [1 << x for x in range(m)]
+    inst.__dict__["masks"] = tuple(mask for s in vals for mask in map(sum, combinations(bits, s)))
+    return inst
 
 
 def user_choices(inst: Instance, user: int) -> list[frozenset[int]]:

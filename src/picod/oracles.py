@@ -326,17 +326,15 @@ def block_cover_impossibility(
 
     Admissible blocks have size in (s, max_block_size] and pass P2 by
     construction.  A count of zero valid covers certifies that bounded-size
-    covers cannot exist.
+    covers cannot exist.  Raises CapExceeded, before any block is built,
+    when the collections outnumber collection_cap.
     """
     _check_cover_params(m, s, t)
-    candidates = [
-        _mask(c)
-        for size in range(s + 1, max_block_size + 1)
-        for c in itertools.combinations(range(m), size)
-    ]
-    total = 1 << len(candidates)
+    sizes = range(s + 1, min(max_block_size, m) + 1)
+    total = 1 << sum(math.comb(m, size) for size in sizes)
     if total > collection_cap:
         raise CapExceeded("block collections", total, collection_cap)
+    candidates = [_mask(c) for size in sizes for c in itertools.combinations(range(m), size)]
     subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
     valid = 0
     for r in range(len(candidates) + 1):

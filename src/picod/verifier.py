@@ -6,16 +6,20 @@ row space of X restricted to the columns U it lacks.  That row space is
 orthogonal to every dependency among those columns, so d is decoded exactly
 when column d is outside the span of the others in U: a coloop of their
 column matroid.  A decoded e_d already lies in the span, so knowing d
-decodes nothing new.  `_insert` places one column at a time, the same for
-every field: XOR on int columns over GF(2), arithmetic mod q on lists
-otherwise.  A column outside the code's support is zero, in no circuit with
-others, so users with the same `known & support` share one walk over the
-rest; `is_valid` places each distinct prefix of those walks once.
+decodes nothing new.  `_place` places one column at a time and `_step` is
+the one elimination step, the same for every field: XOR on int columns over
+GF(2), arithmetic mod q on lists otherwise.  A column outside the code's
+support is zero, in no circuit with others, so users with the same
+`known & support` share one walk over the rest.  `is_valid` walks the trie
+of those walks' prefixes once, depth first; a node carries the columns
+still to be placed below it, reduced against its basis, so placing one is
+a pivot test and, if it is independent, one step per carried column.
 
 The exhaustive code search uses the same fact: how many messages a user
 decodes depends only on the multiset of the code's columns at the messages
 it lacks.  It places a code's columns depth first and checks each user once
-its last unknown column is placed, one walk per distinct multiset.
+its last unknown column is placed, one walk per distinct multiset, which
+steps each column against the basis from scratch.
 A complete-S instance is mapped to itself by every message permutation, so
 only [I_ell | P] with P's columns nondecreasing is tried: a rank-ell code
 with an information set moved to the front, reduced and sorted.  Other
@@ -30,49 +34,76 @@ takes any `known`, range-checks its argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .coding import LinearCode
 from .errors import SearchOverflow
 from .instance import Assignment, Instance
 
 
-def _insert(state: tuple[tuple, int], c: int, g: int | list[int], q: int) -> tuple[tuple, int]:
-    """Place column c, entries g, into (basis, coloops) of the columns placed
-    so far.  A basis vector is reduced at the pivots before it and carries
-    the combination of basis columns it equals: an int mask over GF(2), else
-    its list's tail, one entry per basis vector.  An independent g is a
-    coloop; a dependent g is not, nor is any column its combination uses."""
-    basis, coloops = state
+def _place(f, r: int, coloops: int, ell: int, q: int) -> tuple[int, tuple | None]:
+    """Place a column whose form f is reduced against the r basis vectors
+    placed so far.  A form holds ell entries, then the combination of basis
+    columns it equals, one entry per basis position: the bits past ell of
+    an int over GF(2), else its list's tail.  `coloops` marks positions.  A
+    dependent f is not a coloop, nor is any column in its combination.  An
+    independent f is a coloop and, with itself added to its combination,
+    basis vector r: (pivot, form, inverse of the pivot entry), the pivot a
+    bit over GF(2), else an index.  Returns the coloops and that vector, or
+    None."""
     if q == 2:
-        comb = 1 << c
-        for p, v, k in basis:
-            if g & p:
-                g ^= v
-                comb ^= k
-        if g:
-            return basis + ((g & -g, g, comb),), coloops | 1 << c
-        return basis, coloops & ~comb
-    ell = len(g)
-    r = g + [0] * ell
-    for p, v, _ in basis:
-        if f := r[p]:
-            r = [(x - f * y) % q for x, y in zip(r, v)]
+        if f & ((1 << ell) - 1):
+            return coloops | 1 << r, (f & -f, f | 1 << (ell + r), 1)
+        return coloops & ~(f >> ell), None
     for p in range(ell):
-        if r[p]:
-            break
-    else:
-        return basis, coloops & ~sum(1 << k for x, (_, _, k) in zip(r[ell:], basis) if x)
-    r[ell + len(basis)] = 1
-    inv = pow(r[p], -1, q)
-    return basis + ((p, [x * inv % q for x in r], c),), coloops | 1 << c
+        if f[p]:
+            return coloops | 1 << r, (p, [*f[: ell + r], 1, *f[ell + r + 1 :]], pow(f[p], -1, q))
+    return coloops & ~sum(1 << k for k, x in enumerate(f[ell:]) if x), None
+
+
+def _step(g, vec: tuple, q: int):
+    """One elimination step: form g cleared at the pivot of basis vector
+    vec, by XOR over GF(2), else arithmetic mod q on lists."""
+    p, v, inv = vec
+    if q == 2:
+        return g ^ v if g & p else g
+    return [(x - h * y) % q for x, y in zip(g, v)] if (h := g[p] * inv) else g
+
+
+def _walk(forms: list, unknowns: list[int], ell: int, q: int) -> list[tuple[int, tuple]]:
+    """The coloops and basis columns of each mask in `unknowns` (distinct,
+    ascending) once its columns are placed from the highest down.  Then the
+    masks' prefixes form a trie in which a node's parent lacks its lowest
+    column, and ascending order visits it depth first.  An explicit stack
+    holds the path to the node: its mask shifted past its lowest column b, b,
+    the forms of the columns below b reduced against its basis, its coloops
+    and its basis columns.  Each trie edge is one `_place`; a node whose
+    subtree the next mask misses carries no forms."""
+    out, stack = [], [(0, len(forms), forms, 0, ())]
+    for u, nxt in zip(unknowns, [*unknowns[1:], -1]):
+        while u >> stack[-1][1] != stack[-1][0]:
+            stack.pop()
+        _, b, below, coloops, cols = stack[-1]
+        rest = u & ((1 << b) - 1)
+        while rest:
+            c = rest.bit_length() - 1
+            rest ^= 1 << c
+            coloops, vec = _place(below[c], len(cols), coloops, ell, q)
+            if vec:  # a node that no later mask is under needs no forms
+                cols += (c,)
+                below = [_step(g, vec, q) for g in below[:c]] if rest or nxt >> c == u >> c else []
+            stack.append((u >> c, c, below, coloops, cols))
+        out.append((coloops, cols))
+    return out
 
 
 def _columns(code: LinearCode) -> list:
-    """Each column as `_insert` takes it: an ell-bit int over GF(2), else a list."""
+    """Each column's form before any placement: an ell-bit int over GF(2),
+    else a list with an empty combination."""
     if code.q == 2:
         return [sum(1 << i for i, row in enumerate(code.rows) if row[c]) for c in range(code.m)]
-    return [[row[c] for row in code.rows] for c in range(code.m)]
+    return [[row[c] for row in code.rows] + [0] * code.ell for c in range(code.m)]
 
 
 def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
@@ -80,11 +111,10 @@ def decodable_closure(code: LinearCode, known: int) -> frozenset[int]:
     user can decode: the coloops once every unknown column is placed."""
     if known < 0 or known >> code.m:
         raise ValueError("known message outside column range")
-    return next(_closures(code, (known,)))
+    return _closures(code, (known,))[0]
 
 
-@dataclass(frozen=True)
-class UserDecoding:
+class UserDecoding(NamedTuple):
     known: frozenset[int]
     decoded: frozenset[int]
 
@@ -114,36 +144,31 @@ class DecodabilityReport:
         }
 
 
-def _closures(code: LinearCode, masks: Iterable[int]) -> Iterator[frozenset[int]]:
-    """Each `known` mask's decoded set.  `states` maps a mask of unknown
-    columns in the support to the state once they are placed in increasing
-    order: it is the memo on `known & support`, and lowest columns shared
-    between users are placed once."""
+def _closures(code: LinearCode, masks: Iterable[int]) -> list[frozenset[int]]:
+    """Each `known` mask's decoded set.  A column outside the support is
+    zero, so users with the same unknown support columns share one trie
+    node, and the trie walk places each distinct prefix of them once."""
     support = sum(1 << c for c, col in enumerate(zip(*code.rows)) if any(col))
-    cols, states = _columns(code), {0: ((), 0)}
-    memo: dict[int, frozenset[int]] = {}  # coloops -> decoded set
-    for known in masks:
-        unknown, top = support & ~known, []
-        while unknown not in states:
-            top.append(c := unknown.bit_length() - 1)
-            unknown ^= 1 << c
-        for c in reversed(top):
-            states[unknown | 1 << c] = _insert(states[unknown], c, cols[c], code.q)
-            unknown |= 1 << c
-        if (coloops := states[unknown][1]) not in memo:
-            memo[coloops] = frozenset(c for c in range(code.m) if coloops >> c & 1)
-        yield memo[coloops]
+    unknowns = [support & ~known for known in masks]
+    order = sorted(set(unknowns))
+    bits = [1 << r for r in range(code.ell)]
+    decoded = {
+        u: frozenset(compress(cols, map(coloops.__and__, bits)))
+        for u, (coloops, cols) in zip(order, _walk(_columns(code), order, code.ell, code.q))
+    }
+    return [decoded[u] for u in unknowns]
 
 
 def is_valid(code: LinearCode, inst: Instance) -> DecodabilityReport:
     """Closure of every user, and whether each decodes at least t messages.
 
-    Users with the same `known & support(code)` share one walk, and walks
-    share their common prefixes.
+    One walk over the trie of the users' unknown support columns places
+    each distinct prefix once, with the elimination step the code search
+    uses; users with the same `known & support(code)` share a node.
     """
     if code.m != inst.m:
         raise ValueError(f"code width {code.m} != instance m {inst.m}")
-    per_user = tuple(UserDecoding(a, d) for a, d in zip(inst.users, _closures(code, inst.masks)))
+    per_user = tuple(map(UserDecoding, inst.users, _closures(code, inst.masks)))
     valid = all(len(u.decoded) >= inst.t for u in per_user)
     return DecodabilityReport(valid, per_user)
 
@@ -190,10 +215,15 @@ def min_linear_length_exhaustive(
         def serves(unknown: tuple[int, ...]) -> bool:
             key = tuple(sorted(map(cols.__getitem__, unknown)))
             if key not in served:
-                state: tuple[tuple, int] = ((), 0)
-                for c, v in enumerate(key):
-                    state = _insert(state, c, v if q == 2 else [v // q**r % q for r in range(ell)], q)
-                served[key] = state[1].bit_count() >= inst.t
+                forms = key if q == 2 else [[v // q**r % q for r in range(ell)] + [0] * ell for v in key]
+                basis, coloops = [], 0
+                for f in forms:
+                    for vec in basis:
+                        f = _step(f, vec, q)
+                    coloops, vec = _place(f, len(basis), coloops, ell, q)
+                    if vec:
+                        basis.append(vec)
+                served[key] = coloops.bit_count() >= inst.t
             return served[key]
 
         def place(j: int, rank: int) -> bool:

@@ -675,6 +675,15 @@ class TestOracleCommands:
         assert rc == 2
         assert "cap" in err
 
+    def test_block_cover_cap_past_the_digit_limit(self, capsys):
+        # 39,186 candidate blocks: the refused size has 11,797 digits
+        rc, out, err = run_cli(
+            capsys, "oracle", "block-cover",
+            "-m", "16", "-s", "1", "-t", "1", "--max-block-size", "8",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: block collections: size 2^39186 exceeds cap 1000000\n"
+
 
 class TestParserBasics:
     @pytest.mark.parametrize("argv", [

@@ -58,12 +58,17 @@ class TestBuildCompleteS:
 
     def test_masks_mirror_users_outside_equality(self):
         inst = build_complete_s(4, 1, {0, 2})
-        assert inst.masks == tuple(
-            sum(1 << x for x in a) for a in inst.users
-        )
         assert inst.masks[1] == 0b0011
-        fresh = Instance(inst.m, inst.t, inst.users)
-        assert fresh == inst and hash(fresh) == hash(inst)
+        # build_complete_s fills the masks itself; they match the ones an
+        # instance derives from its users, with 0 and m - t in S too
+        for m, t, sizes in [(4, 1, {0, 2}), (5, 1, {0, 4}), (6, 2, {0, 1, 4}), (3, 3, {0})]:
+            inst = build_complete_s(m, t, sizes)
+            assert "masks" in vars(inst)
+            fresh = Instance(m, t, inst.users)
+            assert inst.masks == fresh.masks == tuple(
+                sum(1 << x for x in a) for a in inst.users
+            )
+            assert fresh == inst and hash(fresh) == hash(inst)
 
 
 class TestIsCompleteS:

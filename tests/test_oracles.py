@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -449,3 +450,19 @@ class TestBlockCoverImpossibility:
     def test_collection_cap(self):
         with pytest.raises(CapExceeded):
             block_cover_impossibility(6, 1, 1, 3, collection_cap=100)
+
+    def test_huge_collection_count_is_refused_before_any_work(self):
+        # 616,645 candidate blocks: 2^616645 collections, a number whose
+        # decimal form is past the interpreter's 4300-digit limit
+        blocks = sum(math.comb(20, k) for k in range(2, 11))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            block_cover_impossibility(20, 1, 1, 10)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.size == 1 << blocks
+        assert str(exc.value) == f"block collections: size 2^{blocks} exceeds cap {oracles.DEFAULT_COLLECTION_CAP}"
+
+    def test_huge_size_is_named_by_its_power_of_two(self):
+        exc = CapExceeded("things", 3 << 20000, 1 << 70)
+        assert str(exc) == "things: size over 2^20001 exceeds cap 2^70"
+        assert (exc.size, exc.cap) == (3 << 20000, 1 << 70)

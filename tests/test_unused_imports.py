@@ -83,5 +83,5 @@ def test_no_unused_import(path):
 
 def test_no_dead_private_name():
     sources = [p.read_text() for p in PACKAGE]
-    assert {"_insert", "_sizes_arg"} <= private_names(sources)[0]
+    assert {"_place", "_sizes_arg"} <= private_names(sources)[0]
     assert dead_private_names(sources) == []

@@ -25,6 +25,7 @@ from util import (
     iter_row_spaces,
     random_instance,
     seeded,
+    span_vectors,
     support_decoded,
 )
 
@@ -173,6 +174,22 @@ class TestReducedBasis:
             assert min(seen.values()) >= trials // 6, (q, seen)
 
 
+def _small_codes(rng, q, m):
+    """A full-rank code, one with a zero row, one with two rows a scalar
+    multiple apart and one with zero columns, each of 1-3 random rows."""
+    full = _random_code(rng, q, m, min(m, rng.randint(1, 3)))
+    while len(span_vectors(full.rows, q)) < q**full.ell:
+        full = _random_code(rng, q, m, full.ell)
+    row = full.rows[0]
+    zero = set(rng.sample(range(m), rng.randint(1, m)))
+    return [
+        full,
+        LinearCode(q, m, full.rows + ((0,) * m,)),
+        LinearCode(q, m, (row, tuple(x * rng.randrange(2, q) % q for x in row))),
+        LinearCode(q, m, tuple(tuple(0 if c in zero else x for c, x in enumerate(r)) for r in full.rows)),
+    ]
+
+
 class TestIsValid:
     def test_two_row_code_serves_three_users(self):
         inst = build_complete_s(3, 1, {1})
@@ -234,34 +251,86 @@ class TestIsValid:
         assert shared >= 20
 
     def test_one_elimination_per_support_pattern(self, monkeypatch):
-        # each distinct prefix of the users' sorted unknown support columns
-        # is placed once.  The GF(2) partition code sends 7 unit rows, so
-        # 6006 users fall into 2^7 - 1 patterns (no user of size <= 6 holds
-        # all 7 sent messages), and every prefix of a pattern is a pattern.
-        # The GF(17) code's support is every column: its 3458 users lack
-        # 15288 columns in all, and share them in 3471 prefixes.
-        calls = []
-        real = picod.verifier._insert
+        # each distinct prefix of the users' unknown support columns, taken
+        # from the highest down, is placed once.  The GF(2) partition code
+        # sends 7 unit rows, so 6006 users fall into 2^7 - 1 patterns (no
+        # user of size <= 6 holds all 7 sent messages), and every prefix of
+        # a pattern is a pattern.  The GF(17) code's support is every
+        # column: its 3458 users lack 15288 columns in all, and share them
+        # in 3471 prefixes.  Every GF(17) placement is independent, and a
+        # node with lowest column c carries the c columns below it unless
+        # it is a leaf: the sum over k = 1..4 of C(14, k + 1) steps.
+        calls = {"_place": 0, "_step": 0}
 
-        def counted(state, c, g, q):
-            calls.append(c)
-            return real(state, c, g, q)
+        def counted(name):
+            real = getattr(picod.verifier, name)
 
-        monkeypatch.setattr(picod.verifier, "_insert", counted)
-        for m, t, S, q, n, unknown, placed in [
-            (14, 1, {4, 5, 6}, 2, 6006, 52052, 127),
-            (14, 2, {9, 10, 11, 12}, 17, 3458, 15288, 3471),
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(picod.verifier, name, wrapper)
+
+        counted("_place")
+        counted("_step")
+        for m, t, S, q, n, unknown, nodes, steps in [
+            (14, 1, {4, 5, 6}, 2, 6006, 52052, 127, None),
+            (14, 2, {9, 10, 11, 12}, 17, 3458, 15288, 3471, 3458),
         ]:
             inst = build_complete_s(m, t, S)
             code = build_partition_scheme(optimal_partition(m, t, S))
-            calls.clear()
+            calls.update(_place=0, _step=0)
             start = time.perf_counter()
             report = is_valid(code, inst)
             elapsed = time.perf_counter() - start
             assert (code.q, inst.n, report.valid) == (q, n, True)
             assert sum(m - len(a) for a in inst.users) == unknown
-            assert len(calls) == placed
+            assert calls["_place"] == nodes
+            if steps is not None:
+                assert calls["_step"] == steps
             assert elapsed < 1.0
+
+    def test_trie_matches_brute_force_on_every_small_profile(self):
+        # every complete-S profile with m <= 5, against GF(3) and GF(5) codes
+        # that are full rank, have a zero row, two scalar-multiple rows or
+        # zero columns.  The reference is brute_closure on the columns a user
+        # lacks (e_d lies in span(rows, e_K) exactly when it does once the
+        # columns in K are dropped), which keeps the GF(5) spans small.
+        rng = seeded(28)
+        checked = 0
+        for m in range(1, 6):
+            for q in (3, 5):
+                for code in _small_codes(rng, q, m):
+                    want = {}
+                    for t in range(1, m + 1):
+                        for k in range(1, 1 << (m - t + 1)):
+                            inst = build_complete_s(m, t, {s for s in range(m - t + 1) if k >> s & 1})
+                            report = is_valid(code, inst)
+                            for a, mask, user in zip(inst.users, inst.masks, report.per_user):
+                                if a not in want:
+                                    lack = [c for c in range(m) if c not in a]
+                                    rows = tuple(tuple(r[c] for c in lack) for r in code.rows)
+                                    got = brute_closure(q, rows, len(lack), frozenset())
+                                    want[a] = frozenset(lack[i] for i in got)
+                                assert (user.known, user.decoded) == (a, want[a])
+                                assert decodable_closure(code, mask) == want[a]
+                                checked += 1
+        assert checked == 8008
+
+    def test_deep_trie_needs_no_recursion(self):
+        # one user lacks all 1100 columns: a 1100-edge path in the trie
+        inst = Instance(1100, 1, (frozenset(), frozenset(range(1, 1100))))
+        code = LinearCode(2, 1100, ((1,) * 1100,))
+        start = time.perf_counter()
+        report = is_valid(code, inst)
+        assert time.perf_counter() - start < 1.0
+        assert [sorted(u.decoded) for u in report.per_user] == [[], [0]]
+
+    def test_user_decodings_are_immutable(self):
+        user = is_valid(LinearCode(2, 2, ((1, 0),)), build_complete_s(2, 1, {0})).per_user[0]
+        for field in ("known", "decoded"):
+            with pytest.raises(AttributeError):
+                setattr(user, field, frozenset())
 
     def test_matches_codeword_supports(self):
         # partition codes with an MDS block, over GF(7) at m = 6-7 and GF(5)

@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser(
         "block-cover", parents=[output],
-        help="exhaustive bounded-size block cover search; exit 0 iff impossible",
+        help="count bounded-size block covers; exit 0 iff there are none",
     )
     p.add_argument("-m", type=_positive_arg, required=True)
     p.add_argument("-s", type=_positive_arg, required=True)

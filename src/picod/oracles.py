@@ -39,11 +39,19 @@ def _mask(elements: Iterable[int]) -> int:
     return sum(1 << v for v in elements)
 
 
-# _SUBSETS[y][k]: the masks of the k-subsets of range(y), for y <= 8
-_SUBSETS = [
-    [[_mask(c) for c in itertools.combinations(range(y), k)] for k in range(y + 1)]
-    for y in range(9)
-]
+def _draw_table(y: int) -> list[int]:
+    """Every nonempty subset of range(y), each k-subset lcm_k C(y, k) / C(y, k) times."""
+    lcm = math.lcm(*(math.comb(y, k) for k in range(1, y + 1)))
+    table = []
+    for k in range(1, y + 1):
+        table += [_mask(c) for c in itertools.combinations(range(y), k)] * (lcm // math.comb(y, k))
+    return table
+
+
+# _DRAW[y] for y <= 8: each size class holds 1/y of the entries and each of
+# its subsets equally often, so one uniform choice draws a uniform size k and
+# then a uniform k-subset (2,240 entries at y = 8)
+_DRAW = [_draw_table(y) for y in range(9)]
 
 
 # ---------- averaging pair ----------
@@ -106,18 +114,20 @@ class AveragingSuiteSummary:
 def random_averaging_suite(trials: int, seed: int) -> AveragingSuiteSummary:
     """Random families of nonempty blocks, each checked against the pair bound.
 
-    The ground size y and block count x are uniform in 1..8; each block has a
-    size k uniform in 1..y and is then a uniform k-subset of range(y).
+    The ground size y and block count x are uniform in 1..8, drawn together
+    from one uniform number below 64; each block has a size k uniform in 1..y
+    and is then a uniform k-subset of range(y), drawn at once from _DRAW[y].
     """
     import random
 
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        y = rng.randint(1, 8)
-        x = rng.randint(1, 8)
-        subsets = _SUBSETS[y]
-        blocks = [rng.choice(subsets[rng.randint(1, y)]) for _ in range(x)]
+        r = rng.randrange(64)
+        y = (r >> 3) + 1
+        x = (r & 7) + 1
+        draw = _DRAW[y]
+        blocks = [rng.choice(draw) for _ in range(x)]
         i, j = _pair(blocks, (1 << y) - 1)
         c_j = sum(b >> j & 1 for b in blocks)
         failures += not blocks[i] >> j & 1 or c_j * y < x * blocks[i].bit_count()
@@ -253,26 +263,24 @@ class CoverCheck:
     detail: str = ""
 
 
-def _p3_violation(masks: Sequence[int], s: int, t: int) -> tuple[int, ...] | None:
-    """A nonempty index set whose intersection size lands in [s : s+t-1].
+def _p3_add(meets: frozenset[int], b: int, s: int, t: int) -> tuple[frozenset[int], int | None]:
+    """Add block b to a collection without a P3 violation.
 
-    Prunes once an intersection drops below s; adding blocks only shrinks it.
+    meets holds the distinct intersections of the collection's sub-collections
+    that have at least s elements, -1 standing for the empty one.  Returns
+    (the grown collection's meets, None), or (meets, x) for a stored meet x
+    that b cuts to s..s+t-1 elements.  Meets below s only shrink as blocks
+    join, so they are dropped; equal meets extend alike, so one is kept.
     """
-
-    def dfs(start: int, cur: int, picked: tuple[int, ...]):
-        if picked:
-            size = cur.bit_count()
-            if s <= size <= s + t - 1:
-                return picked
-            if size < s:
-                return None
-        for k in range(start, len(masks)):
-            found = dfs(k + 1, cur & masks[k], picked + (k,))
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0, -1, ())
+    grown = []
+    for x in meets:
+        y = x & b
+        n = y.bit_count()
+        if n >= s:
+            if n < s + t:
+                return meets, x
+            grown.append(y)
+    return meets.union(grown), None
 
 
 def _check_cover_params(m: int, s: int, t: int) -> None:
@@ -294,10 +302,14 @@ def check_block_cover(cover: BlockCover) -> CoverCheck:
         want = _mask(sub)
         if not any(want & b == want for b in masks):
             return CoverCheck(False, "P1", f"subset {list(sub)} uncovered")
-    bad = _p3_violation(masks, s, t)
-    if bad is not None:
-        inter = functools.reduce(int.__and__, (masks[k] for k in bad))
-        return CoverCheck(False, "P3", f"blocks {list(bad)} meet in {inter.bit_count()} elements")
+    meets = frozenset({-1})
+    for k, b in enumerate(masks):
+        meets, bad = _p3_add(meets, b, s, t)
+        if bad is not None:
+            # the earlier blocks that contain the meet `bad` intersect exactly in it
+            picked = [j for j in range(k) if masks[j] & bad == bad] + [k]
+            n = (bad & b).bit_count()
+            return CoverCheck(False, "P3", f"blocks {picked} meet in {n} elements")
     return CoverCheck(True)
 
 
@@ -322,12 +334,17 @@ def block_cover_impossibility(
     max_block_size: int,
     collection_cap: int = DEFAULT_COLLECTION_CAP,
 ) -> ImpossibilitySummary:
-    """Try every collection of admissible blocks; count the valid covers.
+    """Count the collections of admissible blocks that are valid covers.
 
     Admissible blocks have size in (s, max_block_size] and pass P2 by
-    construction.  A count of zero valid covers certifies that bounded-size
-    covers cannot exist.  Raises CapExceeded, before any block is built,
-    when the collections outnumber collection_cap.
+    construction.  P3 passes to sub-collections, so a depth-first walk
+    extends only collections without a P3 violation, in candidate order, and
+    counts each that covers every s-subset (P1); every other collection
+    fails P3 through one of its prefixes.  `collections_checked` is all
+    2^|candidates| collections, each accounted for, and a count of zero
+    valid covers certifies that bounded-size covers cannot exist.  Raises
+    CapExceeded, before any block is built, when the collections outnumber
+    collection_cap.
     """
     _check_cover_params(m, s, t)
     sizes = range(s + 1, min(max_block_size, m) + 1)
@@ -336,9 +353,16 @@ def block_cover_impossibility(
         raise CapExceeded("block collections", total, collection_cap)
     candidates = [_mask(c) for size in sizes for c in itertools.combinations(range(m), size)]
     subsets = [_mask(c) for c in itertools.combinations(range(m), s)]
+    # covers[i]: the s-subsets inside candidate i, as a mask over `subsets`
+    covers = [sum(1 << j for j, w in enumerate(subsets) if w & b == w) for b in candidates]
+    everything = (1 << len(subsets)) - 1
     valid = 0
-    for r in range(len(candidates) + 1):
-        for picked in itertools.combinations(candidates, r):
-            if all(any(w & b == w for b in picked) for w in subsets):
-                valid += _p3_violation(picked, s, t) is None
+    stack = [(0, frozenset({-1}), 0)]
+    while stack:
+        start, meets, covered = stack.pop()
+        valid += covered == everything
+        for i in range(start, len(candidates)):
+            grown, bad = _p3_add(meets, candidates[i], s, t)
+            if bad is None:
+                stack.append((i + 1, grown, covered | covers[i]))
     return ImpossibilitySummary(m, s, t, max_block_size, total, valid)

@@ -850,7 +850,8 @@ class TestReadmeExamples:
     def test_every_file_free_example_is_collected(self):
         commands = [command.split()[1] for command, _ in README_EXAMPLES]
         assert commands == [
-            "gen", "report", "hypergraph", "hypergraph", "hypergraph", "oracle", "oracle", "oracle",
+            "gen", "report", "hypergraph", "hypergraph", "hypergraph",
+            "oracle", "oracle", "oracle", "oracle",
         ]
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -124,14 +125,19 @@ class TestAveragingPair:
             blocks = [frozenset(v for v in range(y) if b >> v & 1) for b in masks]
             assert pair == fraction_averaging_pair(blocks, y)
 
-    def test_suite_draws_each_k_subset_from_its_own_list(self):
-        # a uniform size, then a uniform choice from its list, is the law of
-        # rng.sample(range(y), k) as long as each list holds every k-subset once
+    def test_suite_draw_table_has_the_law_of_a_size_then_a_subset(self):
+        # one uniform choice from _DRAW[y] must draw a size k uniform in 1..y
+        # and then a uniform k-subset of range(y), the law of
+        # rng.sample(range(y), rng.randint(1, y))
         for y in range(1, 9):
+            counts = Counter(oracles._DRAW[y])
+            total = sum(counts.values())
             for k in range(1, y + 1):
-                masks = oracles._SUBSETS[y][k]
-                assert len(masks) == len(set(masks)) == math.comb(y, k)
-                assert set(masks) == {b for b in range(1 << y) if b.bit_count() == k}
+                klass = {b: c for b, c in counts.items() if b.bit_count() == k}
+                assert set(klass) == {b for b in range(1 << y) if b.bit_count() == k}
+                assert Fraction(sum(klass.values()), total) == Fraction(1, y)
+                assert len(set(klass.values())) == 1
+            assert set(counts) == set(range(1, 1 << y))
 
 
 def record_pairs(monkeypatch):
@@ -327,6 +333,18 @@ def reference_cover_check(m, s, t, blocks):
     return None
 
 
+def assert_p3_detail(m, s, t, blocks, detail):
+    """The P3 detail names distinct blocks that meet in s..s+t-1 elements, and how many."""
+    found = re.fullmatch(r"blocks \[([\d, ]+)\] meet in (\d+) elements", detail)
+    assert found, detail
+    picked = [int(k) for k in found[1].split(", ")]
+    assert len(set(picked)) == len(picked)
+    assert all(0 <= k < len(blocks) for k in picked)
+    inter = frozenset(range(m)).intersection(*(blocks[k] for k in picked))
+    assert s <= len(inter) <= s + t - 1
+    assert len(inter) == int(found[2])
+
+
 class TestCheckBlockCover:
     def test_single_full_block_passes(self):
         cover = BlockCover(4, 1, 2, (frozenset(range(4)),))
@@ -384,6 +402,41 @@ class TestCheckBlockCover:
             expected = reference_cover_check(m, s, t, blocks)
             assert res.ok == (expected is None)
             assert res.failed_property == expected
+            if expected == "P3":
+                assert_p3_detail(m, s, t, blocks, res.detail)
+
+    def test_matches_reference_on_larger_collections(self):
+        # up to 7 admissible blocks and s = 0 as well: P3 details may then
+        # name several blocks
+        rng = seeded(507)
+        failures = 0
+        for _ in range(500):
+            m = rng.randint(2, 7)
+            s = rng.randint(0, m - 1)
+            t = rng.randint(1, m - s)
+            blocks = [
+                frozenset(rng.sample(range(m), rng.randint(s + 1, m)))
+                for _ in range(rng.randint(1, 7))
+            ]
+            res = check_block_cover(BlockCover(m, s, t, tuple(blocks)))
+            assert res.failed_property == reference_cover_check(m, s, t, blocks)
+            if res.failed_property == "P3":
+                assert_p3_detail(m, s, t, blocks, res.detail)
+                failures += 1
+        assert failures >= 50
+
+    def test_nested_cover_is_checked_without_visiting_every_sub_collection(self):
+        # all 31 blocks {0, 1} + X, X a nonempty subset of {2..6}: every
+        # sub-collection meets in at least 2 elements, so no prune below s
+        # ever fires, and a search over sub-collections visits all 2^31
+        blocks = tuple(
+            frozenset({0, 1, *x}) for r in range(1, 6) for x in itertools.combinations(range(2, 7), r)
+        )
+        assert len(blocks) == 31
+        start = time.perf_counter()
+        res = check_block_cover(BlockCover(7, 1, 1, blocks))
+        assert time.perf_counter() - start < 0.1
+        assert res.ok
 
     def test_verdict_is_permutation_equivariant(self):
         rng = seeded(504)
@@ -417,23 +470,41 @@ class TestBlockCoverImpossibility:
         assert summary.valid_found >= 1
 
     @pytest.mark.parametrize(
-        "m,s,t,b", [(3, 1, 1, 3), (4, 1, 1, 2), (4, 1, 2, 3), (4, 2, 1, 3), (5, 3, 1, 4)]
+        "m,s,t,b",
+        [
+            (3, 1, 1, 3), (4, 1, 1, 2), (4, 1, 1, 3), (4, 1, 2, 3), (4, 2, 1, 3),
+            (5, 1, 1, 2), (5, 1, 2, 2), (5, 2, 1, 3), (5, 3, 1, 4), (6, 4, 1, 5),
+        ],
     )
     def test_counts_match_checking_each_collection(self, m, s, t, b):
-        # the sweep skips P2 on its candidates, which pass it by construction
+        # the count skips P2 on its candidates, which pass it by construction;
+        # each collection is also checked by the reference, which shares no
+        # code with the counter
         candidates = [
             frozenset(c)
             for size in range(s + 1, b + 1)
             for c in itertools.combinations(range(m), size)
         ]
-        valid = sum(
-            check_block_cover(BlockCover(m, s, t, picked)).ok
-            for r in range(len(candidates) + 1)
-            for picked in itertools.combinations(candidates, r)
-        )
+        valid = 0
+        for r in range(len(candidates) + 1):
+            for picked in itertools.combinations(candidates, r):
+                ok = check_block_cover(BlockCover(m, s, t, picked)).ok
+                assert ok == (reference_cover_check(m, s, t, picked) is None)
+                valid += ok
         summary = block_cover_impossibility(m, s, t, b)
         assert summary.collections_checked == 1 << len(candidates)
         assert summary.valid_found == valid
+
+    def test_certifies_every_critical_case_up_to_eight_messages(self):
+        # m = 2s + t with blocks of size s+1 .. m-1: the paper's critical
+        # case, far past what checking each collection could reach
+        cases = [(2 * s + t, s, t) for s in range(1, 4) for t in range(1, 9 - 2 * s)]
+        assert len(cases) == 12
+        for m, s, t in cases:
+            candidates = sum(math.comb(m, k) for k in range(s + 1, m))
+            summary = block_cover_impossibility(m, s, t, m - 1, collection_cap=1 << candidates)
+            assert summary.collections_checked == 1 << candidates
+            assert summary.valid_found == 0, (m, s, t)
 
     @pytest.mark.parametrize("m,s,t,b", [(3, 5, 1, 2), (3, 3, 1, 3), (3, 1, 0, 2), (0, 0, 1, 1)])
     def test_rejects_parameters_without_a_cover_question(self, m, s, t, b):
